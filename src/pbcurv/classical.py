@@ -70,7 +70,7 @@ class InducedMetric:
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     gbar = emb.sig.gbar
     gab = np.einsum("i,ai,bi->ab", gbar, emb.e, emb.e)
-    det_g = gab[0, 0] * gab[1, 1] - gab[0, 1] * gab[1, 0]
+    det_g = float(gab[0, 0] * gab[1, 1] - gab[0, 1] * gab[1, 0])
     scale = max(float(np.abs(gab).max()), 1.0)
     if abs(det_g) < DEGENERACY_TOL * scale * scale:
         raise DegenerateMetricError(
@@ -83,7 +83,7 @@ def induced_metric(emb: EmbeddingEval) -> InducedMetric:
         ind_g = 1
     else:
         ind_g = 0 if gab[0, 0] > 0.0 else 2
-    return InducedMetric(gab, float(det_g), ind_g, ginv)
+    return InducedMetric(gab, det_g, ind_g, ginv)
 
 
 def metric_jets(emb: EmbeddingEval) -> list[list[Jet1]]:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .tensor import (
     AmbientSignature,
     ensure_within_cap,
     eps_contract_naive,
-    eps_contract_reduced,
     eps_table,
     multi_indices,
 )
@@ -114,7 +112,7 @@ def poisson_bracket(f: Jet2, g: Jet2, rho: Jet1) -> Jet1:
     """Bracket of two order-2 jets; the result is an order-1 jet."""
     rv = rho.value
     if abs(rv) <= DENOM_FLOOR:
-        raise ZeroDensityError(f"density value {rv!r} too close to zero")
+        raise ZeroDensityError(f"density value {float(rv)!r} too close to zero")
     w = f.grad[0] * g.grad[1] - f.grad[1] * g.grad[0]
     dw = np.array(
         [
@@ -429,18 +427,31 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 
 
 # --- Frame-free curvature ------------------------------------------------
+#
+# Both curvatures contract two rank-m permutation symbols over their m-3
+# trailing slots.  The "reduced" path applies
+# eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl} to whole tensors.  The
+# six signed pairings of the generalized delta collapse to two sums after
+# relabelling, because T, G and P are exactly antisymmetric in their last
+# two slots (build_bracket_table writes P[j, i] = -P[i, j]).  The "naive"
+# path is the oracle: it tabulates the symbol contraction by brute force,
+# one eps_contract_naive call per pair of index triples.
 
-@lru_cache(maxsize=None)
-def _distinct_triples(m: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(itertools.permutations(range(1, m + 1), 3))
+
+def _naive_symbol_pairs(m: int) -> np.ndarray:
+    """D[j, k, l, i, r, n] = sum over L of eps_{jklL} eps^{irnL}."""
+    ensure_within_cap(m, "the brute-force symbol contraction")
+    D = np.zeros((m,) * 6)
+    triples = list(itertools.permutations(range(1, m + 1), 3))
+    for jkl in triples:
+        for irn in triples:
+            D[tuple(a - 1 for a in jkl + irn)] = eps_contract_naive(jkl, irn, m)
+    return D
 
 
-def _contract_fn(contraction: str):
-    if contraction == "naive":
-        return eps_contract_naive
-    if contraction == "reduced":
-        return eps_contract_reduced
-    raise ValueError(f"contraction must be 'naive' or 'reduced', got {contraction!r}")
+def _check_contraction(contraction: str) -> None:
+    if contraction not in ("naive", "reduced"):
+        raise ValueError(f"contraction must be 'naive' or 'reduced', got {contraction!r}")
 
 
 def gauss_full_from_table(
@@ -449,31 +460,27 @@ def gauss_full_from_table(
     met: InducedMetric,
     contraction: str = "reduced",
 ) -> float:
-    """Gauss curvature from nested coordinate brackets, no frame input."""
+    """Gauss curvature from nested coordinate brackets, no frame input.
+
+    acc = gbar_i gbar_r gbar_n T[i,k,l] T[j,r,n] eps_{jklL} eps^{irnL},
+    summed over all indices, reduces to
+    (m-3)! (2 gbar_i gbar_r gbar_n T[i,r,n]^2 - 4 gbar_n v_n^2)
+    with v_n = gbar_i T[i,i,n].
+    """
+    _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
-    contract = _contract_fn(contraction)
+    T = nested_bracket_tensor(table, emb)
+    gb = sig.gbar
     if contraction == "naive":
-        ensure_within_cap(m, "the brute-force symbol contraction")
-    T = nested_bracket_tensor(table, emb).tolist()
-    gb = sig.gbar.tolist()
-    triples = _distinct_triples(m)
-    acc = 0.0
-    for jkl in triples:
-        j, k, l = jkl
-        t_row = T[j - 1]
-        for irn in triples:
-            c = contract(jkl, irn, m)
-            if c:
-                i, r, n = irn
-                acc += (
-                    c
-                    * gb[i - 1]
-                    * gb[r - 1]
-                    * gb[n - 1]
-                    * T[i - 1][k - 1][l - 1]
-                    * t_row[r - 1][n - 1]
-                )
+        D = _naive_symbol_pairs(m)
+        acc = float(np.einsum("jklirn,i,r,n,ikl,jrn->", D, gb, gb, gb, T, T))
+    else:
+        v = np.einsum("i,iin->n", gb, T)
+        acc = math.factorial(m - 3) * float(
+            2.0 * np.einsum("i,r,n,irn,irn->", gb, gb, gb, T, T)
+            - 4.0 * np.einsum("n,n,n->", gb, v, v)
+        )
     rv = table.rho.value
     return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
 
@@ -484,33 +491,29 @@ def mean_full_from_table(
     met: InducedMetric,
     contraction: str = "reduced",
 ) -> np.ndarray:
-    """Mean curvature vector from coordinate brackets, no frame input."""
+    """Mean curvature vector from coordinate brackets, no frame input.
+
+    out_k = G[i,r,n] W[a,b] eps_{irnL} eps^{kabL}, summed over all other
+    indices, with G[i,r,n] = gbar_j {x^i, x^j} {x^j, {x^r, x^n}} and
+    W[a,b] = gbar_a gbar_b {x^a, x^b}, reduces to
+    2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]).
+    """
+    _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
-    contract = _contract_fn(contraction)
-    if contraction == "naive":
-        ensure_within_cap(m, "the brute-force symbol contraction")
     T = nested_bracket_tensor(table, emb)
     gb = sig.gbar
-    # G[i, r, n] = sum_j gbar_j {x^i, x^j} {x^j, {x^r, x^n}}
-    G = np.einsum("ij,j,jrn->irn", table.P, gb, T).tolist()
-    P = table.P.tolist()
-    gbl = gb.tolist()
-    triples = _distinct_triples(m)
-    out = [0.0] * m
-    for irn in triples:
-        i, r, n = irn
-        gval = G[i - 1][r - 1][n - 1]
-        if gval == 0.0:
-            continue
-        for kkl in triples:
-            c = contract(irn, kkl, m)
-            if c:
-                kp, k, l = kkl
-                out[kp - 1] += c * gbl[k - 1] * gbl[l - 1] * gval * P[k - 1][l - 1]
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
+    W = gb[:, None] * table.P * gb[None, :]
+    if contraction == "naive":
+        out = np.einsum("irnkab,irn,ab->k", _naive_symbol_pairs(m), G, W)
+    else:
+        out = (2.0 * math.factorial(m - 3)) * (
+            np.einsum("krn,rn->k", G, W) + 2.0 * np.einsum("irk,ir->k", G, W)
+        )
     rv = table.rho.value
     factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    return factor * np.array(out)
+    return factor * out
 
 
 def gauss_full(

@@ -1,10 +1,13 @@
 """Flat ambient signatures, permutation symbols, and symbol contractions.
 
 The curvature formulas contract two rank-m permutation symbols over all
-but three slots.  Two implementations are kept side by side on purpose:
-a brute-force sum over every multi-index (the oracle) and a closed form
-with six signed Kronecker-delta pairings times (m-3)!.  Both work on
-plain integers, so agreement is exact, not approximate.
+but three slots: eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl}.
+Production code (poisson.gauss_full_from_table and mean_full_from_table)
+applies this identity to whole (m, m, m) tensors and never calls the
+scalar functions here.  Two scalar versions stay for tests and for the
+"naive" oracle path: a brute-force sum over every multi-index and the
+closed form with six signed Kronecker-delta pairings times (m-3)!.  Both
+work on plain integers, so their agreement is exact, not approximate.
 """
 
 from __future__ import annotations

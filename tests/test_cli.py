@@ -2,14 +2,19 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pbcurv
+from pbcurv import cli
+from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
-from pbcurv.errors import ConfigError
+from pbcurv.errors import ConfigError, DegenerateMetricError
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
 
@@ -230,6 +235,16 @@ def test_degenerate_surface_exit_three(tmp_path, capsys):
     assert rows and all(row["status"].startswith("skipped") for row in rows)
 
 
+def test_degenerate_metric_message_prints_plain_floats():
+    spec = load_spec("sphere")
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, (0.0, 0.5))
+    with pytest.raises(DegenerateMetricError) as info:
+        induced_metric(emb)
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert "det g = 0.0" in message
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "no-such-surface"], capsys)[0] == 2
     assert run_cli(["curvature", "sphere", "--grid", "8"], capsys)[0] == 2
@@ -293,6 +308,49 @@ def test_invariants_impossible_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("command", ["curvature", "invariants"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_is_usage_error(command, value, capsys):
+    args = [command, "sphere", "--grid", "3x3", f"--tolerance={value}"]
+    if command == "curvature":
+        args.append("--compare")
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "--tolerance must be finite" in err
+
+
+def test_compare_fails_closed_on_nan_curvature(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gauss_full_from_table", lambda *args: math.nan)
+    code, _, err = run_cli(["curvature", "sphere", "--grid", "3x3", "--compare"], capsys)
+    assert code == 1
+    assert "comparison failure" in err
+
+
+def test_compare_negative_tolerance_fails(capsys):
+    code, _, err = run_cli(
+        ["curvature", "sphere", "--grid", "3x3", "--compare", "--tolerance=-1"], capsys
+    )
+    assert code == 1
+    assert "comparison failure" in err
+
+
+def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
+    real = cli.mean_full_from_table
+    calls = []
+
+    def nan_on_second_call(table, emb, met, contraction="reduced"):
+        calls.append(None)
+        out = real(table, emb, met, contraction)
+        return out * math.nan if len(calls) == 2 else out
+
+    monkeypatch.setattr(cli, "mean_full_from_table", nan_on_second_call)
+    code, out, _ = run_cli(["invariants", "sphere", "--grid", "3x3"], capsys)
+    assert code == 1
+    row = next(line for line in out.splitlines() if line.startswith("rho_independence"))
+    assert "nan" in row and "FAIL" in row
+    assert "FAIL" not in out.replace(row, "")
+
+
 # --- bench -----------------------------------------------------------------
 
 
@@ -306,6 +364,8 @@ def test_bench_reports_both_paths(capsys):
     assert "ratio:" in out
     # m = 3 has no trailing indices at all
     assert "1 multi-index terms" in out
+    assert "(median of per-point bests)" in out
+    assert "whole (3, 3, 3) nested-bracket tensor" in out
 
 
 def test_bench_r5_ratio_positive(capsys):
@@ -321,10 +381,15 @@ def test_bench_r5_ratio_positive(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same pbcurv as this process, installed or not
+    src = str(Path(pbcurv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pbcurv.cli", "curvature", "plane", "--grid", "3x3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("u,v,status,K_full")
@@ -333,5 +398,6 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "pbcurv.cli", "curvature", "nope"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 2

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pbcurv import poisson, tensor
 from pbcurv.classical import (
+    EmbeddingEval,
     NormalFrame,
     classical_gauss,
     classical_mean,
@@ -14,7 +18,7 @@ from pbcurv.classical import (
     normal_projector,
     second_fundamental,
 )
-from pbcurv.errors import UsageError, ZeroDensityError
+from pbcurv.errors import DimensionCapError, UsageError, ZeroDensityError
 from pbcurv.exprlang import eval_jet, parse_expression
 from pbcurv.jets import Jet1, Jet2
 from pbcurv.poisson import (
@@ -41,6 +45,7 @@ from pbcurv.poisson import (
     zmap_invariants,
 )
 from pbcurv.surfaces import CATALOG
+from pbcurv.tensor import AmbientSignature
 
 from helpers import midpoint, point_setup, rel, vec_rel
 
@@ -119,6 +124,10 @@ def test_zero_density_rejected():
     g = Jet2.variable(2, (0.0, 0.0))
     with pytest.raises(ZeroDensityError):
         poisson_bracket(f, g, Jet1.constant(0.0))
+    with pytest.raises(ZeroDensityError) as info:
+        poisson_bracket(f, g, Jet1(np.float64(0.0), np.zeros(2)))
+    assert "np.float64" not in str(info.value)
+    assert "density value 0.0 " in str(info.value)
 
 
 def test_plane_bracket_table():
@@ -152,7 +161,9 @@ def test_nested_bracket_tensor_antisymmetry():
     spec, emb, met, table = point_setup("graph-surface-r4")
     T = nested_bracket_tensor(table, emb)
     assert T.shape == (4, 4, 4)
-    assert np.allclose(T, -np.swapaxes(T, 1, 2), atol=1e-14, rtol=0.0)
+    # exact, not approximate: the closed-form contraction relies on it
+    assert np.array_equal(T, -np.swapaxes(T, 1, 2))
+    assert np.array_equal(table.P, -table.P.T)
 
 
 def test_p2_trace_identity():
@@ -354,6 +365,88 @@ def test_contraction_paths_agree_in_curvature():
         h_n = mean_full_from_table(table, emb, met, "naive")
         h_r = mean_full_from_table(table, emb, met, "reduced")
         assert vec_rel(h_n, h_r) <= 1e-12, name
+
+
+def _random_embedding(m: int, nu: int, seed: int) -> EmbeddingEval:
+    """Embedding jets with random gradients and Hessians at one point."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for _ in range(m):
+        hess = rng.uniform(-2.0, 2.0, (2, 2))
+        jets.append(Jet2(rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0, 2), hess + hess.T))
+    return EmbeddingEval(AmbientSignature(m, nu), jets, (0.3, 0.7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.integers(3, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from(["unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)", "expr:0.2 + u^2"]),
+)
+def test_reduced_contraction_matches_naive_on_random_jets(dims, seed, density):
+    m, nu = dims
+    emb = _random_embedding(m, nu, seed)
+    gab = np.einsum("i,ai,bi->ab", emb.sig.gbar, emb.e, emb.e)
+    det = gab[0, 0] * gab[1, 1] - gab[0, 1] ** 2
+    # keep clear of degenerate metrics, where both sums lose all digits
+    assume(abs(det) >= 0.05 * max(1.0, float(np.abs(gab).max())) ** 2)
+    met = induced_metric(emb)
+    table = build_bracket_table(emb, DensityChoice.from_string(density))
+    k_n = gauss_full_from_table(table, emb, met, "naive")
+    k_r = gauss_full_from_table(table, emb, met, "reduced")
+    h_n = mean_full_from_table(table, emb, met, "naive")
+    h_r = mean_full_from_table(table, emb, met, "reduced")
+    assert np.isfinite(k_r) and np.all(np.isfinite(h_r))
+    assert rel(k_n, k_r) <= 1e-12, (k_n, k_r)
+    assert vec_rel(h_n, h_r) <= 1e-12, (h_n, h_r)
+
+
+def test_reduced_contraction_makes_no_symbol_calls(monkeypatch):
+    def boom(*args):
+        raise AssertionError("per-triple symbol contraction called")
+
+    monkeypatch.setattr(poisson, "eps_contract_naive", boom)
+    monkeypatch.setattr(poisson, "eps_contract_reduced", boom, raising=False)
+    monkeypatch.setattr(tensor, "eps_contract_naive", boom)
+    monkeypatch.setattr(tensor, "eps_contract_reduced", boom)
+    monkeypatch.setattr(tensor, "eps_table", boom)
+    for name in CATALOG:
+        spec, emb, met, table = point_setup(name)
+        assert math.isfinite(gauss_full_from_table(table, emb, met))
+        assert np.all(np.isfinite(mean_full_from_table(table, emb, met, "reduced")))
+    with pytest.raises(AssertionError, match="per-triple"):
+        gauss_full_from_table(table, emb, met, "naive")
+
+
+def test_reduced_contraction_runs_above_cap(monkeypatch):
+    monkeypatch.delenv("PBCURV_MAX_M", raising=False)
+    coords = [
+        "u", "v", "u*v", "u^2", "v^2", "sin(u)", "cos(v)", "u + v^2",
+        "exp(0.3*u*v)", "sin(u + v)", "cos(u - 2*v)", "u^3 - v",
+    ]
+    m = len(coords)
+    assert m > tensor.max_dimension()
+    sig = AmbientSignature(m, 0)
+    emb = evaluate_embedding(sig, [parse_expression(c) for c in coords], (0.4, 0.6))
+    met = induced_metric(emb)
+    table = build_bracket_table(emb, SQRTG)
+    k_full = gauss_full_from_table(table, emb, met)
+    h_full = mean_full_from_table(table, emb, met)
+    assert math.isfinite(k_full) and np.all(np.isfinite(h_full))
+    frame = classical_normal_frame(emb, met)
+    h = second_fundamental(emb, frame)
+    assert rel(k_full, classical_gauss(met, frame, h)) <= 1e-10
+    assert vec_rel(h_full, classical_mean(met, frame, h)) <= 1e-10
+    with pytest.raises(DimensionCapError):
+        gauss_full_from_table(table, emb, met, "naive")
+
+
+def test_unknown_contraction_rejected():
+    spec, emb, met, table = point_setup("sphere")
+    with pytest.raises(ValueError, match="contraction"):
+        gauss_full_from_table(table, emb, met, "fast")
+    with pytest.raises(ValueError, match="contraction"):
+        mean_full_from_table(table, emb, met, "fast")
 
 
 def test_rho_independence():

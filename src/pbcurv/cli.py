@@ -7,13 +7,13 @@ configuration error, 3 geometric error at a sample point.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .classical import (
 from .classical import NormalFrame
 from .errors import GeometricError, PbcurvError, UsageError
 from .poisson import (
-    BracketTable,
     DensityChoice,
     build_bracket_table,
     build_z,
@@ -38,7 +37,6 @@ from .poisson import (
     gauss_full_from_table,
     gauss_via_frame,
     mean_full_from_table,
-    mean_via_frame,
     normal_frame_from_z,
     p2_trace,
     ps_traces,
@@ -71,6 +69,16 @@ _IDENTITY_TOLERANCES = {
     "rho_independence": 1e-7,
 }
 
+# curvature --compare column -> the invariants row it reports
+_COMPARE_RESIDUALS = {
+    "res_p2trace": "p2_trace",
+    "res_satrace": "s2_trace",
+    "res_zproj": "z_projector",
+    "res_ztrace": "z_trace",
+    "res_zsum": "z_sum",
+}
+_RESIDUAL_COLUMNS = (*_COMPARE_RESIDUALS, "res_rho_indep")
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -92,94 +100,118 @@ def _worst(residuals) -> float:
     return math.nan if any(math.isnan(r) for r in values) else max(values)
 
 
-class _PointContext:
-    """Everything the per-point workers need, shared and immutable."""
-
-    def __init__(self, spec: SurfaceSpec, rho: DensityChoice, contraction: str) -> None:
-        self.spec = spec
-        self.sig = spec.signature
-        self.rho = rho
-        self.contraction = contraction
-
-    def embed(self, at: tuple[float, float]):
-        return evaluate_embedding(self.sig, self.spec.coord_asts, at)
-
-    def classical_frame(self, at: tuple[float, float]) -> NormalFrame:
-        emb = self.embed(at)
-        return classical_normal_frame(emb, induced_metric(emb))
-
-    def tables(self, at: tuple[float, float]):
-        emb = self.embed(at)
-        met = induced_metric(emb)
-        table = build_bracket_table(emb, self.rho)
-        return emb, met, table
-
-
 def _geometric(at: tuple[float, float], exc: GeometricError) -> GeometricError:
     return GeometricError(f"at (u, v) = ({at[0]!r}, {at[1]!r}): {exc}")
 
 
+def _load(args) -> tuple[SurfaceSpec, DensityChoice, list]:
+    """The surface, the density and the interior grid points a command runs on."""
+    spec = load_spec(args.spec)
+    rho = DensityChoice.from_string(args.rho) if args.rho else spec.density()
+    points = grid_points(spec, _parse_grid(args.grid))
+    if not points:
+        raise UsageError("grid has no interior points")
+    return spec, rho, points
+
+
+def _tables(spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float]):
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+    met = induced_metric(emb)
+    return emb, met, build_bracket_table(emb, rho)
+
+
+def _classical_frame(spec: SurfaceSpec, at: tuple[float, float]) -> NormalFrame:
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+    return classical_normal_frame(emb, induced_metric(emb))
+
+
+def _frame(spec: SurfaceSpec, emb, at: tuple[float, float]):
+    """Classical frame with FD derivatives, and its second fundamental forms."""
+    ff = frame_with_derivatives(functools.partial(_classical_frame, spec), at, spec.signature)
+    frame = NormalFrame(ff.vectors, ff.sigma)
+    return ff, frame, second_fundamental(emb, frame)
+
+
+def _kh(table, emb, met, contraction: str = "reduced"):
+    return (
+        gauss_full_from_table(table, emb, met, contraction),
+        mean_full_from_table(table, emb, met, contraction),
+    )
+
+
+def _kh_spread(kh) -> float:
+    """Worst pairwise disagreement among (K, H) pairs that should agree."""
+    return _worst(
+        r
+        for (ka, ha), (kb, hb) in itertools.combinations(kh, 2)
+        for r in (_rel(ka - kb, ka, kb), _vec_rel(ha, hb))
+    )
+
+
+def _identity_residuals(table, emb, met, ff, h) -> dict[str, float]:
+    """Normalised residuals of the bracket identities at one point.
+
+    Keys are the invariants rows from p2_trace to sigma_multiset; the
+    --compare columns report a subset of them (_COMPARE_RESIDUALS).
+    """
+    sig = emb.sig
+    rv2 = table.rho.value * table.rho.value
+    out: dict[str, float] = {}
+    lhs = p2_trace(table, sig)
+    rhs = -2.0 * met.det_g / rv2
+    out["p2_trace"] = _rel(lhs - rhs, lhs, rhs)
+    S = s_operator(table, emb, ff)
+    s2 = s2_traces(sig, S)
+    dets = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    out["s2_trace"] = _worst(
+        _rel(s2[A] + 2.0 * dets[A] / rv2, s2[A]) for A in range(sig.codim)
+    )
+    ps = ps_traces(table, sig, S)
+    weingarten = np.einsum("ab,Aab->A", met.ginv, h)
+    out["ps_trace"] = _worst(
+        _rel(ps[A] - met.det_g * weingarten[A] / rv2, ps[A]) for A in range(sig.codim)
+    )
+    zd = build_z(table, emb, met)
+    out.update(zmap_invariants(zd, table, emb, met))
+    zframe = normal_frame_from_z(zd, sig)
+    proj_z = normal_projector(sig, zframe)
+    proj_c = normal_projector(sig, NormalFrame(ff.vectors, ff.sigma))
+    out["z_projector"] = float(np.abs(proj_z - proj_c).max()) / max(
+        1.0, float(np.abs(proj_c).max())
+    )
+    match = sorted(zframe.sigma.tolist()) == sorted(ff.sigma.tolist())
+    match = match and int(np.sum(zframe.sigma == -1)) == zd.delta
+    out["sigma_multiset"] = 0.0 if match else 1.0
+    return out
+
+
 def _curvature_record(
-    ctx: _PointContext, at: tuple[float, float], compare: bool
+    spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float], compare: bool
 ) -> dict:
-    emb, met, table = ctx.tables(at)
-    k_full = gauss_full_from_table(table, emb, met, ctx.contraction)
+    emb, met, table = _tables(spec, rho, at)
+    k_full, h_full = _kh(table, emb, met)
     record: dict[str, object] = {
         "u": at[0],
         "v": at[1],
         "status": "ok",
         "K_full": k_full,
     }
-    h_full = mean_full_from_table(table, emb, met, ctx.contraction)
     for i, value in enumerate(h_full, start=1):
         record[f"H_full_{i}"] = float(value)
     if not compare:
         return record
-    ff = frame_with_derivatives(ctx.classical_frame, at, ctx.sig)
-    frame = NormalFrame(ff.vectors, ff.sigma)
-    h = second_fundamental(emb, frame)
-    k_oracle = classical_gauss(met, frame, h)
-    h_oracle = classical_mean(met, frame, h)
+    ff, frame, h = _frame(spec, emb, at)
     record["K_frame"] = gauss_via_frame(table, emb, met, ff)
-    record["K_oracle"] = k_oracle
-    for i, value in enumerate(h_oracle, start=1):
+    record["K_oracle"] = classical_gauss(met, frame, h)
+    for i, value in enumerate(classical_mean(met, frame, h), start=1):
         record[f"H_oracle_{i}"] = float(value)
-    record.update(_point_residuals(ctx, emb, met, table, ff, h, k_full, h_full))
+    res = _identity_residuals(table, emb, met, ff, h)
+    for column, key in _COMPARE_RESIDUALS.items():
+        record[column] = res[key]
+    alt = DensityChoice.unit() if rho.kind != "unit" else DensityChoice.sqrt_abs_g()
+    kh_alt = _kh(build_bracket_table(emb, alt), emb, met)
+    record["res_rho_indep"] = _kh_spread([(k_full, h_full), kh_alt])
     return record
-
-
-def _point_residuals(ctx, emb, met, table, ff, h, k_full, h_full) -> dict[str, float]:
-    sig = ctx.sig
-    rv = table.rho.value
-    res: dict[str, float] = {}
-    lhs = p2_trace(table, sig)
-    rhs = -2.0 * met.det_g / (rv * rv)
-    res["res_p2trace"] = _rel(lhs - rhs, lhs, rhs)
-    S = s_operator(table, emb, ff)
-    s2 = s2_traces(sig, S)
-    dets = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    res["res_satrace"] = _worst(
-        _rel(s2[A] + 2.0 * dets[A] / (rv * rv), s2[A], 2.0 * dets[A] / (rv * rv))
-        for A in range(sig.codim)
-    )
-    zd = build_z(table, emb, met)
-    zres = zmap_invariants(zd, table, emb, met)
-    res["res_ztrace"] = zres["z_trace"]
-    res["res_zsum"] = zres["z_sum"]
-    zframe = normal_frame_from_z(zd, sig)
-    proj_z = normal_projector(sig, zframe)
-    proj_c = normal_projector(sig, NormalFrame(ff.vectors, ff.sigma))
-    res["res_zproj"] = float(np.abs(proj_z - proj_c).max()) / max(
-        1.0, float(np.abs(proj_c).max())
-    )
-    alt = DensityChoice.unit() if ctx.rho.kind != "unit" else DensityChoice.sqrt_abs_g()
-    table_alt = build_bracket_table(emb, alt)
-    k_alt = gauss_full_from_table(table_alt, emb, met, ctx.contraction)
-    h_alt = mean_full_from_table(table_alt, emb, met, ctx.contraction)
-    res["res_rho_indep"] = _worst(
-        (_rel(k_full - k_alt, k_full, k_alt), _vec_rel(h_full, h_alt))
-    )
-    return res
 
 
 def _columns(m: int, compare: bool) -> list[str]:
@@ -188,14 +220,7 @@ def _columns(m: int, compare: bool) -> list[str]:
     if compare:
         cols += ["K_frame", "K_oracle"]
         cols += [f"H_oracle_{i}" for i in range(1, m + 1)]
-        cols += [
-            "res_p2trace",
-            "res_satrace",
-            "res_zproj",
-            "res_ztrace",
-            "res_zsum",
-            "res_rho_indep",
-        ]
+        cols += _RESIDUAL_COLUMNS
     return cols
 
 
@@ -206,7 +231,6 @@ def _emit(records: list[dict], columns: list[str], args, spec: SurfaceSpec, out)
             "m": spec.m,
             "nu": spec.nu,
             "rho": args.rho if args.rho else spec.rho,
-            "contraction": args.contraction,
             "points": [
                 {col: rec.get(col) for col in columns if col in rec} for rec in records
             ],
@@ -229,24 +253,16 @@ def _emit(records: list[dict], columns: list[str], args, spec: SurfaceSpec, out)
 
 
 def cmd_curvature(args) -> int:
-    spec = load_spec(args.spec)
-    rho = DensityChoice.from_string(args.rho) if args.rho else spec.density()
-    ctx = _PointContext(spec, rho, args.contraction)
-    points = grid_points(spec, _parse_grid(args.grid))
-
-    def worker(point):
-        i, j, u, v = point
+    spec, rho, points = _load(args)
+    records = []
+    for _, _, u, v in points:
         try:
-            return _curvature_record(ctx, (u, v), args.compare)
+            records.append(_curvature_record(spec, rho, (u, v), args.compare))
         except GeometricError as exc:
-            if args.skip_degenerate:
-                rec = {"u": u, "v": v, "status": f"skipped: {exc}"}
-                return rec
-            raise _geometric((u, v), exc) from exc
-
-    records = _run_parallel(worker, points, args.threads)
-    columns = _columns(spec.m, args.compare)
-    _write_output(records, columns, args, spec)
+            if not args.skip_degenerate:
+                raise _geometric((u, v), exc) from exc
+            records.append({"u": u, "v": v, "status": f"skipped: {exc}"})
+    _write_output(records, _columns(spec.m, args.compare), args, spec)
     if args.compare:
         tol = args.tolerance if args.tolerance is not None else 1e-8
         for rec in records:
@@ -255,7 +271,10 @@ def cmd_curvature(args) -> int:
             k_res = _rel(rec["K_full"] - rec["K_oracle"], rec["K_oracle"])
             h_full = np.array([rec[f"H_full_{i}"] for i in range(1, spec.m + 1)])
             h_oracle = np.array([rec[f"H_oracle_{i}"] for i in range(1, spec.m + 1)])
-            if not _worst((k_res, _vec_rel(h_full, h_oracle))) <= tol:
+            # finite identity residuals are reported, not gated: the FD frame
+            # stencil alone puts res_satrace near 1e-6 on wiggly surfaces
+            finite = all(math.isfinite(rec[col]) for col in _RESIDUAL_COLUMNS)
+            if not (_worst((k_res, _vec_rel(h_full, h_oracle))) <= tol and finite):
                 print(
                     f"comparison failure at (u, v) = ({rec['u']!r}, {rec['v']!r})",
                     file=sys.stderr,
@@ -272,20 +291,8 @@ def _write_output(records, columns, args, spec) -> None:
         _emit(records, columns, args, spec, sys.stdout)
 
 
-def _run_parallel(worker, points, threads: int) -> list:
-    if threads <= 1:
-        return [worker(pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, points))
-
-
 def cmd_invariants(args) -> int:
-    spec = load_spec(args.spec)
-    rho = DensityChoice.from_string(args.rho) if args.rho else spec.density()
-    ctx = _PointContext(spec, rho, args.contraction)
-    points = grid_points(spec, _parse_grid(args.grid))
-    if not points:
-        raise UsageError("grid has no interior points")
+    spec, rho, points = _load(args)
     tolerances = dict(_IDENTITY_TOLERANCES)
     if args.tolerance is not None:
         tolerances = {key: args.tolerance for key in tolerances}
@@ -294,88 +301,33 @@ def cmd_invariants(args) -> int:
     pairs = [
         (parse_expression(f), parse_expression(h)) for f, h in DOUBLE_TRACE_PAIRS
     ]
-    info: dict[str, object] | None = None
-
-    def visit(point):
-        i, j, u, v = point
+    codim = spec.signature.codim
+    info = None
+    for _, _, u, v in points:
         at = (u, v)
         try:
-            emb, met, table = ctx.tables(at)
-            sig = ctx.sig
-            rv = table.rho.value
-            out: dict[str, float] = {}
-            lhs = p2_trace(table, sig)
-            rhs = -2.0 * met.det_g / (rv * rv)
-            out["p2_trace"] = _rel(lhs - rhs, lhs, rhs)
-            ff = frame_with_derivatives(ctx.classical_frame, at, ctx.sig)
-            frame = NormalFrame(ff.vectors, ff.sigma)
-            h = second_fundamental(emb, frame)
-            S = s_operator(table, emb, ff)
-            s2 = s2_traces(sig, S)
-            dets = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-            out["s2_trace"] = _worst(
-                _rel(s2[A] + 2.0 * dets[A] / (rv * rv), s2[A]) for A in range(sig.codim)
-            )
-            ps = ps_traces(table, sig, S)
-            weingarten = np.einsum("ab,Aab->A", met.ginv, h)
-            out["ps_trace"] = _worst(
-                _rel(ps[A] - met.det_g * weingarten[A] / (rv * rv), ps[A])
-                for A in range(sig.codim)
-            )
-            zd = build_z(table, emb, met)
-            out.update(
-                (k, v)
-                for k, v in zmap_invariants(zd, table, emb, met).items()
-            )
-            zframe = normal_frame_from_z(zd, sig)
-            proj_z = normal_projector(sig, zframe)
-            proj_c = normal_projector(sig, frame)
-            out["z_projector"] = float(np.abs(proj_z - proj_c).max()) / max(
-                1.0, float(np.abs(proj_c).max())
-            )
-            match = sorted(zframe.sigma.tolist()) == sorted(frame.sigma.tolist())
-            match = match and int(np.sum(zframe.sigma == -1)) == zd.delta
-            out["sigma_multiset"] = 0.0 if match else 1.0
+            emb, met, table = _tables(spec, rho, at)
+            ff, frame, h = _frame(spec, emb, at)
+            out = _identity_residuals(table, emb, met, ff, h)
             out["double_trace"] = _worst(
-                double_trace_check(table, emb, ff, 0, sig.codim - 1, fa, ha)
+                double_trace_check(table, emb, ff, 0, codim - 1, fa, ha)
                 for fa, ha in pairs
             )
-            kh = []
-            for density in densities:
-                t = build_bracket_table(emb, density)
-                kh.append(
-                    (
-                        gauss_full_from_table(t, emb, met, ctx.contraction),
-                        mean_full_from_table(t, emb, met, ctx.contraction),
-                    )
-                )
-            out["rho_independence"] = _worst(
-                r
-                for (ka, ha), (kb, hb) in itertools.combinations(kh, 2)
-                for r in (_rel(ka - kb, ka, kb), _vec_rel(ha, hb))
+            out["rho_independence"] = _kh_spread(
+                [_kh(build_bracket_table(emb, d), emb, met) for d in densities]
             )
-            extra = {
-                "ind_g": met.ind_g,
-                "delta": zd.delta,
-                "sigma": sorted(frame.sigma.tolist()),
-            }
-            return out, extra
         except GeometricError as exc:
             raise _geometric(at, exc) from exc
-
-    for point in points:
-        out, extra = visit(point)
         if info is None:
-            info = extra
+            info = (
+                f"ind_g={met.ind_g}  delta={spec.nu - met.ind_g}  "
+                f"sigma multiset={sorted(frame.sigma.tolist())}"
+            )
         for key, value in out.items():
             worst[key] = _worst((worst[key], value))
 
-    assert info is not None
     print(f"surface: {spec.name}  m={spec.m}  nu={spec.nu}  rho={rho.source}")
-    print(
-        f"ind_g={info['ind_g']}  delta={info['delta']}  "
-        f"sigma multiset={info['sigma']}  points={len(points)}"
-    )
+    print(f"{info}  points={len(points)}")
     failed = False
     print(f"{'identity':<18}{'max residual':>14}{'tolerance':>12}  status")
     for key in tolerances:
@@ -389,40 +341,26 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = load_spec(args.spec)
-    rho = DensityChoice.from_string(args.rho) if args.rho else spec.density()
-    ctx = _PointContext(spec, rho, "reduced")
-    points = grid_points(spec, _parse_grid(args.grid))
-    if not points:
-        raise UsageError("grid has no interior points")
+    spec, rho, points = _load(args)
     naive_times: list[int] = []
     reduced_times: list[int] = []
-    for i, j, u, v in points:
+    for _, _, u, v in points:
         try:
-            emb, met, table = ctx.tables((u, v))
+            emb, met, table = _tables(spec, rho, (u, v))
         except GeometricError as exc:
             raise _geometric((u, v), exc) from exc
-        k_naive = gauss_full_from_table(table, emb, met, "naive")
-        h_naive = mean_full_from_table(table, emb, met, "naive")
-        k_reduced = gauss_full_from_table(table, emb, met, "reduced")
-        h_reduced = mean_full_from_table(table, emb, met, "reduced")
-        if _rel(k_naive - k_reduced, k_naive, k_reduced) > 1e-12 or (
-            _vec_rel(h_naive, h_reduced) > 1e-12
-        ):
+        paths = [_kh(table, emb, met, "naive"), _kh(table, emb, met, "reduced")]
+        if not _kh_spread(paths) <= 1e-12:
             print(
                 f"contraction paths disagree at (u, v) = ({u!r}, {v!r})",
                 file=sys.stderr,
             )
             return 1
         naive_times.append(
-            _time_once(lambda: (gauss_full_from_table(table, emb, met, "naive"),
-                                mean_full_from_table(table, emb, met, "naive")),
-                       args.repetitions)
+            _time_once(lambda: _kh(table, emb, met, "naive"), args.repetitions)
         )
         reduced_times.append(
-            _time_once(lambda: (gauss_full_from_table(table, emb, met, "reduced"),
-                                mean_full_from_table(table, emb, met, "reduced")),
-                       args.repetitions)
+            _time_once(lambda: _kh(table, emb, met, "reduced"), args.repetitions)
         )
     naive_ns = statistics.median(naive_times)
     reduced_ns = statistics.median(reduced_times)
@@ -482,19 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="density choice: unit | sqrtg | expr:<expression>",
         )
         p.add_argument("--grid", default=None, help="sample grid, e.g. 8x8")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
-        p.add_argument(
-            "--contraction",
-            choices=("naive", "reduced"),
-            default="reduced",
-            help="symbol contraction path",
-        )
+
+    def tolerance(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tolerance", type=float, default=None, help="override tolerances"
         )
 
     p_curv = sub.add_parser("curvature", help="curvature table over the grid")
     common(p_curv)
+    tolerance(p_curv)
     p_curv.add_argument("--format", choices=("csv", "json"), default="csv")
     p_curv.add_argument(
         "--compare",
@@ -511,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="identity checks over the grid")
     common(p_inv)
+    tolerance(p_inv)
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_bench = sub.add_parser("bench", help="time the two contraction paths")
@@ -524,8 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.tolerance is not None and not math.isfinite(args.tolerance):
-            raise UsageError(f"--tolerance must be finite, got {args.tolerance!r}")
+        tol = getattr(args, "tolerance", None)
+        if tol is not None and not math.isfinite(tol):
+            raise UsageError(f"--tolerance must be finite, got {tol!r}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -126,15 +126,6 @@ def poisson_bracket(f: Jet2, g: Jet2, rho: Jet1) -> Jet1:
     return Jet1(w / rv, dw / rv - w * rho.grad / (rv * rv))
 
 
-def nested_bracket_value(f: Jet2, b: Jet1, rho_value: float) -> float:
-    """Bracket of a jet against an order-1 jet; value only.
-
-    This is the second bracket level.  It reads nothing beyond b.grad,
-    which is why order-2 jets of the embedding suffice throughout.
-    """
-    return (f.grad[0] * b.grad[1] - f.grad[1] * b.grad[0]) / rho_value
-
-
 @dataclass(eq=False)
 class BracketTable:
     """All coordinate brackets at one point.
@@ -321,12 +312,6 @@ class ZData:
     Zmat: np.ndarray  # (n, n)
     delta: int
     delta_sign: int
-
-    def lower(self, J: tuple[int, ...]) -> np.ndarray:
-        return self.Z_lower[self.indices.index(J)]
-
-    def upper(self, J: tuple[int, ...]) -> np.ndarray:
-        return self.Z_upper[self.indices.index(J)]
 
 
 def build_z(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> ZData:

@@ -194,14 +194,71 @@ def test_curvature_csv_json_same_numbers(capsys):
                 assert point[key] == value
 
 
-def test_curvature_deterministic_across_threads(tmp_path, capsys):
-    out1 = tmp_path / "t1.csv"
-    out4 = tmp_path / "t4.csv"
+def test_curvature_deterministic_across_runs(tmp_path, capsys):
+    out1 = tmp_path / "run1.csv"
+    out2 = tmp_path / "run2.csv"
     base = ["curvature", "torus", "--grid", "6x6", "--compare"]
-    assert main(base + ["--threads", "1", "--output", str(out1)]) == 0
-    assert main(base + ["--threads", "4", "--output", str(out4)]) == 0
+    assert main(base + ["--output", str(out1)]) == 0
+    assert main(base + ["--output", str(out2)]) == 0
     capsys.readouterr()
-    assert out1.read_bytes() == out4.read_bytes()
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("surface", "nu"), [("torus", 0), ("lorentz-graph-r41", 1)]
+)
+def test_compare_columns_match_invariants_rows(surface, nu, capsys):
+    # a 3x3 grid has one interior point, so each invariants row is that
+    # point's residual, printed to 3 significant digits
+    code, out, _ = run_cli(
+        ["curvature", surface, "--grid", "3x3", "--compare", "--format", "json"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["nu"] == nu
+    (point,) = payload["points"]
+    _, table, _ = run_cli(["invariants", surface, "--grid", "3x3"], capsys)
+    rows = {
+        line.split()[0]: line.split()[1]
+        for line in table.splitlines()
+        if line.endswith(("PASS", "FAIL"))
+    }
+    columns = {
+        "res_p2trace": "p2_trace",
+        "res_satrace": "s2_trace",
+        "res_zproj": "z_projector",
+        "res_ztrace": "z_trace",
+        "res_zsum": "z_sum",
+    }
+    for column, row in columns.items():
+        assert format(point[column], ".3e") == rows[row], (column, row)
+
+
+def test_curvature_grid_without_interior_points_exit_two(capsys):
+    code, out, err = run_cli(["curvature", "sphere", "--grid", "2x2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "no interior points" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["curvature", "sphere", "--threads", "2"],
+        ["invariants", "sphere", "--threads", "2"],
+        ["bench", "sphere", "--threads", "2"],
+        ["curvature", "sphere", "--contraction", "naive"],
+        ["invariants", "sphere", "--contraction", "naive"],
+        ["bench", "sphere", "--contraction", "naive"],
+        ["bench", "sphere", "--tolerance", "5"],
+    ],
+)
+def test_removed_options_are_usage_errors(args, capsys):
+    # argparse rejects unknown options by raising SystemExit(2)
+    with pytest.raises(SystemExit) as info:
+        main(args + ["--grid", "3x3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_curvature_rho_flag_changes_nothing(capsys):
@@ -324,6 +381,21 @@ def test_compare_fails_closed_on_nan_curvature(capsys, monkeypatch):
     code, _, err = run_cli(["curvature", "sphere", "--grid", "3x3", "--compare"], capsys)
     assert code == 1
     assert "comparison failure" in err
+
+
+def test_compare_fails_closed_on_nan_residual(capsys, monkeypatch):
+    real = cli.zmap_invariants
+
+    def nan_trace(*args):
+        return {**real(*args), "z_trace": math.nan}
+
+    monkeypatch.setattr(cli, "zmap_invariants", nan_trace)
+    code, out, err = run_cli(["curvature", "torus", "--grid", "3x3", "--compare"], capsys)
+    assert code == 1
+    assert "comparison failure" in err
+    _, (row,) = parse_csv(out)
+    assert math.isnan(row["res_ztrace"])
+    assert abs(row["K_full"] - row["K_oracle"]) <= 1e-8 * max(1.0, abs(row["K_oracle"]))
 
 
 def test_compare_negative_tolerance_fails(capsys):

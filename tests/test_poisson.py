@@ -35,7 +35,6 @@ from pbcurv.poisson import (
     mean_full_from_table,
     mean_via_frame,
     nested_bracket_tensor,
-    nested_bracket_value,
     normal_frame_from_z,
     p2_trace,
     poisson_bracket,
@@ -116,7 +115,6 @@ def test_bracket_result_carries_no_second_order():
     g = Jet2.variable(2, at)
     br = poisson_bracket(f, g, Jet1.constant(1.0))
     assert not hasattr(br, "hess")
-    assert nested_bracket_value(f, br, 1.0) == 0.0
 
 
 def test_zero_density_rejected():

@@ -374,7 +374,7 @@ def cmd_bench(args) -> int:
         f"each summing {m ** (m - 3)} multi-index terms"
     )
     print(
-        f"reduced contraction: a few einsums over the whole ({m}, {m}, {m}) "
+        f"reduced contraction: a compensated sum of products over the whole ({m}, {m}, {m}) "
         f"nested-bracket tensor"
     )
     print(f"naive:   {naive_ns:.0f} ns/point (median of per-point bests)")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -421,6 +422,16 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 # two slots (build_bracket_table writes P[j, i] = -P[i, j]).  The "naive"
 # path is the oracle: it tabulates the symbol contraction by brute force,
 # one eps_contract_naive call per pair of index triples.
+#
+# Both paths add their terms with math.fsum, which rounds once.  The terms
+# cancel heavily: on random Lorentzian jets the sum of their magnitudes
+# reaches 6e4 times the result, so even the one rounding of each product
+# can leave errors above 1e-12 relative, in the oracle as much as in the
+# closed form.  Where the terms of a sum cancel by more than _CANCEL_MAX,
+# each product a * b is split exactly into p + e (Dekker's two-product)
+# and the e are added too; elsewhere the product roundings move the sum by
+# at most _CANCEL_MAX * eps = 1.1e-13 relative.  Given the same T, G and
+# P, the two paths therefore agree to within about 2.5e-13 relative.
 
 
 def _naive_symbol_pairs(m: int) -> np.ndarray:
@@ -432,6 +443,89 @@ def _naive_symbol_pairs(m: int) -> np.ndarray:
         for irn in triples:
             D[tuple(a - 1 for a in jkl + irn)] = eps_contract_naive(jkl, irn, m)
     return D
+
+
+_SPLITTER = 134217729.0  # 2**27 + 1
+_CANCEL_MAX = 1024.0
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi + lo == a exactly, each with at most 26 significant bits."""
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _fsum(terms: list[float]) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # the float sum gives inf or nan here
+        return float(np.sum(terms))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sums of a * b over the last axis of two 2-D arrays, see above."""
+    p = a * b
+    sums = [_fsum(row) for row in p.tolist()]
+    sizes = np.abs(p).sum(axis=1).tolist()
+    if all(size <= _CANCEL_MAX * abs(s) for size, s in zip(sizes, sums)):
+        return np.array(sums)
+    hi, lo = _split(np.concatenate([a, b]))
+    n = len(a)
+    ah, al, bh, bl = hi[:n], lo[:n], hi[n:], lo[n:]
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e == a * b exactly
+    rows = np.concatenate([p, e.sum(axis=1, keepdims=True)], axis=1)
+    return np.array([_fsum(row) for row in rows.tolist()])
+
+
+def _int_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Two arrays, joined on the last axis, that sum exactly to c * x.
+
+    c holds integers of at most 27 bits, so c times a 26-bit half of x is
+    exact, and _row_dots can split its products with it exactly.
+    """
+    hi, lo = _split(x)
+    return np.concatenate([c * hi, c * lo], axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _gauss_terms(sig: AmbientSignature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into T and weights of the closed-form Gauss sum.
+
+    acc / (m-3)! is the sum of w * T.flat[left] * T.flat[right].  Terms
+    with T[i, r, r] = 0 are left out and mirror terms are merged by
+    doubling their weight, so every weight is a signed power of two.
+    """
+    m, gb = sig.m, sig.gbar
+    left, right, w = [], [], []
+    for i, r, n in itertools.product(range(m), repeat=3):
+        if r < n:  # 2 gbar_i gbar_r gbar_n T[i,r,n]^2, with (r, n) and (n, r)
+            left.append((i * m + r) * m + n)
+            right.append((i * m + r) * m + n)
+            w.append(4.0 * gb[i] * gb[r] * gb[n])
+    for i, j, n in itertools.product(range(m), repeat=3):
+        if i <= j and n not in (i, j):  # -4 gbar_n v_n^2, v_n = gbar_i T[i,i,n]
+            left.append((i * m + i) * m + n)
+            right.append((j * m + j) * m + n)
+            w.append((-4.0 if i == j else -8.0) * gb[n] * gb[i] * gb[j])
+    return np.array(left), np.array(right), np.array(w)
+
+
+@lru_cache(maxsize=None)
+def _mean_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into G and W, one row per output k, of the closed-form H.
+
+    out_k / (4 (m-3)!) is the row sum of G.flat[left] * W.flat[right]:
+    G[k,r,n] W[r,n] over r < n (the mirror term is equal) and
+    G[i,r,k] W[i,r] over i != r (W[i,i] = 0).
+    """
+    rows = []
+    for k in range(m):
+        pairs = [((k * m + r) * m + n, r * m + n) for r in range(m) for n in range(r + 1, m)]
+        pairs += [((i * m + r) * m + k, i * m + r) for i in range(m) for r in range(m) if i != r]
+        rows.append(pairs)
+    idx = np.array(rows)
+    return idx[:, :, 0], idx[:, :, 1]
 
 
 def _check_contraction(contraction: str) -> None:
@@ -456,16 +550,18 @@ def gauss_full_from_table(
     sig = emb.sig
     m, p = sig.m, sig.codim
     T = nested_bracket_tensor(table, emb)
-    gb = sig.gbar
     if contraction == "naive":
+        gb = sig.gbar
         D = _naive_symbol_pairs(m)
-        acc = float(np.einsum("jklirn,i,r,n,ikl,jrn->", D, gb, gb, gb, T, T))
+        j, k, l, i, r, n = np.nonzero(D)
+        c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
+        left = _int_times(c, T[i, k, l])
+        acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
     else:
-        v = np.einsum("i,iin->n", gb, T)
-        acc = math.factorial(m - 3) * float(
-            2.0 * np.einsum("i,r,n,irn,irn->", gb, gb, gb, T, T)
-            - 4.0 * np.einsum("n,n,n->", gb, v, v)
-        )
+        left, right, w = _gauss_terms(sig)
+        Tf = T.ravel()
+        # w is a signed power of two, so w * T is exact
+        acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
     rv = table.rho.value
     return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
 
@@ -491,11 +587,17 @@ def mean_full_from_table(
     G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
     W = gb[:, None] * table.P * gb[None, :]
     if contraction == "naive":
-        out = np.einsum("irnkab,irn,ab->k", _naive_symbol_pairs(m), G, W)
-    else:
-        out = (2.0 * math.factorial(m - 3)) * (
-            np.einsum("krn,rn->k", G, W) + 2.0 * np.einsum("irk,ir->k", G, W)
+        D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
+        k, i, r, n, a, b = np.nonzero(D)
+        left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
+        right = np.tile(W[a, b], 2)
+        rows = np.tile(k, 2)
+        out = np.array(
+            [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
         )
+    else:
+        left, right = _mean_terms(m)
+        out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
     rv = table.rho.value
     factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
     return factor * out

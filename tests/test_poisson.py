@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pbcurv import poisson, tensor
@@ -381,6 +381,10 @@ def _random_embedding(m: int, nu: int, seed: int) -> EmbeddingEval:
     seed=st.integers(0, 2**32 - 1),
     density=st.sampled_from(["unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)", "expr:0.2 + u^2"]),
 )
+# plain float sums put the paths 1.2e-12 and 4.0e-12 apart here; the terms of
+# the second cancel by 6.5e4, so it also runs the two-product branch
+@example(dims=(6, 2), seed=582440, density="sqrtg")
+@example(dims=(4, 2), seed=91957719, density="sqrtg")
 def test_reduced_contraction_matches_naive_on_random_jets(dims, seed, density):
     m, nu = dims
     emb = _random_embedding(m, nu, seed)

@@ -313,9 +313,8 @@ def cmd_invariants(args) -> int:
                 double_trace_check(table, emb, ff, 0, codim - 1, fa, ha)
                 for fa, ha in pairs
             )
-            out["rho_independence"] = _kh_spread(
-                [_kh(build_bracket_table(emb, d), emb, met) for d in densities]
-            )
+            tables = [table if d == rho else build_bracket_table(emb, d) for d in densities]
+            out["rho_independence"] = _kh_spread([_kh(t, emb, met) for t in tables])
         except GeometricError as exc:
             raise _geometric(at, exc) from exc
         if info is None:

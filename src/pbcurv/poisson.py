@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -40,13 +40,7 @@ from .errors import (
 )
 from .exprlang import Ast, eval_jet, parse_expression
 from .jets import DENOM_FLOOR, Jet1, Jet2, sqrt_abs1
-from .tensor import (
-    AmbientSignature,
-    ensure_within_cap,
-    eps_contract_naive,
-    eps_table,
-    multi_indices,
-)
+from .tensor import AmbientSignature, ensure_within_cap, eps_contract_naive, permutation_sign
 
 # Central-difference step for parameter derivatives of pointwise frames.
 FRAME_STEP = 1e-3
@@ -131,13 +125,14 @@ def poisson_bracket(f: Jet2, g: Jet2, rho: Jet1) -> Jet1:
 class BracketTable:
     """All coordinate brackets at one point.
 
-    P[i, j] = {x^i, x^j} (exactly antisymmetric); Pgrad[i, j] is the
-    parameter gradient of that bracket; rho is the density jet used.
+    P[i, j] = {x^i, x^j} (exactly antisymmetric) with parameter gradient
+    Pgrad[i, j] and density jet rho; T caches nested_bracket_tensor.
     """
 
     P: np.ndarray
     Pgrad: np.ndarray
     rho: Jet1
+    T: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
 def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
@@ -163,6 +158,12 @@ def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray
         np.einsum("i,kl->ikl", e[0], table.Pgrad[:, :, 1])
         - np.einsum("i,kl->ikl", e[1], table.Pgrad[:, :, 0])
     ) / rv
+
+
+def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
+    if table.T is None:
+        table.T = nested_bracket_tensor(table, emb)
+    return table.T
 
 
 # --- Frames with parameter derivatives ----------------------------------
@@ -301,13 +302,14 @@ def mean_via_frame(
 class ZData:
     """Normal-direction data built from coordinate brackets only.
 
-    Z_lower[K] is the normal vector attached to multi-index K (length
-    codim-1); Z_upper raises the multi-index with the ambient metric.
+    Z_lower[K] is the normal vector attached to the sorted multi-index K
+    of length codim-1; Z_upper raises K with its metric sign weights[K].
     Zmat is the mixed-index projector matrix acting on those
     multi-indices; delta counts timelike normal directions.
     """
 
     indices: list[tuple[int, ...]]
+    weights: np.ndarray  # (n,)
     Z_lower: np.ndarray  # (n, m)
     Z_upper: np.ndarray  # (n, m)
     Zmat: np.ndarray  # (n, n)
@@ -315,33 +317,45 @@ class ZData:
     delta_sign: int
 
 
+@lru_cache(maxsize=None)
+def _z_rows(sig: AmbientSignature):
+    """Sorted multi-indices J, their metric signs, and their rows' entries.
+
+    Row J holds s gbar_a P[b, c], s gbar_b P[c, a] and s gbar_c P[a, b] at
+    the sorted complement (a, b, c) of J, s = sign of (a, b, c, J).
+    """
+    m, gb = sig.m, sig.gbar
+    indices = list(itertools.combinations(range(1, m + 1), m - 3))
+    entries = []
+    for row, J in enumerate(indices):
+        a, b, c = (i for i in range(m) if i + 1 not in J)
+        s = permutation_sign((a + 1, b + 1, c + 1, *J))
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            entries.append((row * m + i, j * m + k, s * gb[i]))
+    z_at, p_at, coef = (np.array(x) for x in zip(*entries))
+    weights = np.array([sig.product_over(J) for J in indices])
+    weights.setflags(write=False)  # shared by every ZData of this signature
+    return indices, weights, z_at, p_at, coef
+
+
 def build_z(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> ZData:
     """Build the bracket-only normal vectors and their projector matrix.
 
-    Each multi-index K of length codim-1 picks out the contraction of
-    the rank-m permutation symbol with the coordinate-bracket matrix,
-    scaled by rho / (2 sqrt(|g| (codim-1)!)).  The matrix Zmat is the
-    induced map on multi-index slots; it is an orthogonal projector of
-    rank codim onto the normal space.
+    Row K, one per sorted multi-index, is eps_{iklK} {x^k, x^l} times
+    rho / (2 sqrt|g|): the Hodge dual of the tangent bivector.  The rows
+    of all (codim-1)! orderings of K, scaled by 1 / sqrt((codim-1)!),
+    have the same Z_lower^T Z_upper and a projector with the same trace.
+    Zmat is an orthogonal projector of rank codim onto the normal space.
     """
     sig = emb.sig
-    m, p = sig.m, sig.codim
-    ensure_within_cap(m, "the bracket-built normal projector")
-    gb = sig.gbar
-    scale = table.rho.value / (2.0 * math.sqrt(abs(met.det_g) * math.factorial(p - 1)))
-    tab = eps_table(m)
-    idxs = list(multi_indices(m, p - 1))
-    ZL = np.zeros((len(idxs), m))
-    for row, J in enumerate(idxs):
-        jsel = tuple(j - 1 for j in J)
-        sub = tab[(slice(None),) * 3 + jsel]  # eps with trailing slots at J
-        ZL[row] = scale * gb * np.einsum("ikl,kl->i", sub, table.P)
-    gJ = np.array([sig.product_over(J) for J in idxs])
-    ZU = ZL * gJ[:, None]
+    indices, weights, z_at, p_at, coef = _z_rows(sig)
+    ZL = np.zeros((len(indices), sig.m))
+    ZL.flat[z_at] = table.rho.value / math.sqrt(abs(met.det_g)) * (coef * table.P.flat[p_at])
+    ZU = ZL * weights[:, None]
     delta = sig.nu - met.ind_g
     delta_sign = (-1) ** delta
-    Zmat = delta_sign * np.einsum("Ii,i,Ji->IJ", ZU, gb, ZL)
-    return ZData(idxs, ZL, ZU, Zmat, delta, delta_sign)
+    Zmat = delta_sign * np.einsum("Ii,i,Ji->IJ", ZU, sig.gbar, ZL)
+    return ZData(list(indices), weights, ZL, ZU, Zmat, delta, delta_sign)
 
 
 def zmap_invariants(
@@ -362,8 +376,7 @@ def zmap_invariants(
     zscale = max(1.0, float(np.abs(Zmat).max()))
     idem = float(np.abs(Zmat @ Zmat - Zmat).max()) / zscale
     trace = abs(float(np.trace(Zmat)) - p) / max(1.0, float(p))
-    gI = np.array([sig.product_over(I) for I in zd.indices])
-    gz = gI[:, None] * Zmat
+    gz = zd.weights[:, None] * Zmat
     selfadj = float(np.abs(gz - gz.T).max()) / zscale
     lhs = zd.Z_lower.T @ zd.Z_upper
     rv = table.rho.value
@@ -388,10 +401,9 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     is not exactly codim at tolerance 1e-8.
     """
     p = sig.codim
-    gI = np.array([sig.product_over(I) for I in zd.indices])
     try:
         vecs, signs = pivoted_orthonormalize(
-            zd.Zmat, gI, zd.Zmat.shape[0], null_tol=1e-8, drop_tol=1e-8
+            zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8, drop_tol=1e-8
         )
     except _NullPivot as exc:
         raise RankDeficiencyError(
@@ -549,7 +561,7 @@ def gauss_full_from_table(
     _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
-    T = nested_bracket_tensor(table, emb)
+    T = _nested(table, emb)
     if contraction == "naive":
         gb = sig.gbar
         D = _naive_symbol_pairs(m)
@@ -582,7 +594,7 @@ def mean_full_from_table(
     _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
-    T = nested_bracket_tensor(table, emb)
+    T = _nested(table, emb)
     gb = sig.gbar
     G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
     W = gb[:, None] * table.P * gb[None, :]

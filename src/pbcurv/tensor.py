@@ -90,19 +90,17 @@ def _validate_indices(indices: tuple[int, ...], m: int) -> None:
             raise ValueError(f"index {i} out of range 1..{m}")
 
 
+def permutation_sign(seq: tuple[int, ...]) -> int:
+    """Sign of the permutation that sorts seq, whose entries are distinct."""
+    inversions = sum(x > y for a, x in enumerate(seq) for y in seq[a + 1:])
+    return -1 if inversions % 2 else 1
+
+
 def eps_symbol(indices: tuple[int, ...]) -> int:
     """Permutation symbol on len(indices) letters, 1-based entries."""
     m = len(indices)
     _validate_indices(indices, m)
-    if len(set(indices)) != m:
-        return 0
-    sign = 1
-    seq = list(indices)
-    for a in range(m):
-        for b in range(a + 1, m):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
+    return permutation_sign(indices) if len(set(indices)) == m else 0
 
 
 @lru_cache(maxsize=None)
@@ -111,19 +109,9 @@ def eps_table(m: int) -> np.ndarray:
     ensure_within_cap(m, "the dense permutation-symbol table")
     table = np.zeros((m,) * m, dtype=np.int8)
     for perm in itertools.permutations(range(m)):
-        sign = 1
-        for a in range(m):
-            for b in range(a + 1, m):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        table[perm] = sign
+        table[perm] = permutation_sign(perm)
     table.setflags(write=False)
     return table
-
-
-def multi_indices(m: int, length: int):
-    """All 1-based multi-indices of the given length, lexicographic."""
-    return itertools.product(range(1, m + 1), repeat=length)
 
 
 def eps_contract_naive(jkl: tuple[int, int, int], irn: tuple[int, int, int], m: int) -> int:

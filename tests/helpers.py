@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from pbcurv.classical import evaluate_embedding, induced_metric
+from pbcurv.classical import EmbeddingEval, evaluate_embedding, induced_metric
+from pbcurv.jets import Jet2
 from pbcurv.poisson import DensityChoice, build_bracket_table
 from pbcurv.surfaces import CATALOG, SurfaceSpec, grid_points
+from pbcurv.tensor import AmbientSignature
 
 
 def rel(a: float, b: float) -> float:
@@ -42,3 +44,20 @@ def point_setup(name: str, at=None, rho: str = "sqrt_abs_g"):
     met = induced_metric(emb)
     table = build_bracket_table(emb, DensityChoice.from_string(rho))
     return spec, emb, met, table
+
+
+def random_embedding(m: int, nu: int, seed: int) -> EmbeddingEval:
+    """Embedding jets with random gradients and Hessians at one point."""
+    rng = np.random.default_rng(seed)
+    jets = []
+    for _ in range(m):
+        hess = rng.uniform(-2.0, 2.0, (2, 2))
+        jets.append(Jet2(rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0, 2), hess + hess.T))
+    return EmbeddingEval(AmbientSignature(m, nu), jets, (0.3, 0.7))
+
+
+def clear_of_degeneracy(emb: EmbeddingEval) -> bool:
+    """|det g| is at least 0.05 times the squared size of the metric."""
+    gab = np.einsum("i,ai,bi->ab", emb.sig.gbar, emb.e, emb.e)
+    det = gab[0, 0] * gab[1, 1] - gab[0, 1] ** 2
+    return abs(det) >= 0.05 * max(1.0, float(np.abs(gab).max())) ** 2

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pbcurv
-from pbcurv import cli
+from pbcurv import cli, poisson
 from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
 from pbcurv.errors import ConfigError, DegenerateMetricError
@@ -175,6 +175,37 @@ def test_curvature_compare_exit_zero(capsys):
         assert row["res_rho_indep"] <= 1e-7
 
 
+def _count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
+    tables = _count_calls(monkeypatch, cli, "build_bracket_table")
+    tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
+    assert run_cli(["curvature", "torus", "--grid", "3x3"], capsys)[0] == 0
+    assert (len(tables), len(tensors)) == (1, 1)
+    assert run_cli(["curvature", "torus", "--grid", "3x3", "--compare"], capsys)[0] == 0
+    # --compare builds the run's table and one for another density
+    assert (len(tables), len(tensors)) == (3, 3)
+
+
+def test_invariants_reuses_the_run_table(capsys, monkeypatch):
+    tables = _count_calls(monkeypatch, cli, "build_bracket_table")
+    tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
+    assert run_cli(["invariants", "torus", "--grid", "3x3"], capsys)[0] == 0
+    # the run's sqrt_abs_g table serves the density loop too: unit and expr: are new
+    assert (len(tables), len(tensors)) == (3, 3)
+
+
 def test_curvature_csv_json_same_numbers(capsys):
     args = ["curvature", "helicoid", "--grid", "4x4", "--compare"]
     code, csv_out, _ = run_cli(args + ["--format", "csv"], capsys)
@@ -310,16 +341,17 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_dimension_cap_exit_two(tmp_path, capsys, monkeypatch):
+    # only the naive contraction (bench) is capped; the projector is not
     monkeypatch.setenv("PBCURV_MAX_M", "3")
-    code, _, err = run_cli(
-        ["curvature", "flat-torus-r4", "--grid", "3x3", "--compare"], capsys
-    )
+    code, _, err = run_cli(["bench", "flat-torus-r4", "--grid", "3x3"], capsys)
     assert code == 2
     assert "PBCURV_MAX_M" in err
-    monkeypatch.setenv("PBCURV_MAX_M", "4")
     code, _, _ = run_cli(
         ["curvature", "flat-torus-r4", "--grid", "3x3", "--compare"], capsys
     )
+    assert code == 0
+    monkeypatch.setenv("PBCURV_MAX_M", "4")
+    code, _, _ = run_cli(["bench", "flat-torus-r4", "--grid", "3x3"], capsys)
     assert code == 0
 
 

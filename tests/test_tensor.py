@@ -14,7 +14,6 @@ from pbcurv.tensor import (
     eps_symbol,
     eps_table,
     max_dimension,
-    multi_indices,
 )
 
 
@@ -143,11 +142,3 @@ def test_ambient_signature():
         AmbientSignature(2, 0)
     with pytest.raises(ValueError):
         AmbientSignature(3, 4)
-
-
-def test_multi_indices():
-    idx = list(multi_indices(3, 2))
-    assert len(idx) == 9
-    assert idx[0] == (1, 1)
-    assert idx[-1] == (3, 3)
-    assert list(multi_indices(5, 0)) == [()]

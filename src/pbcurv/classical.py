@@ -140,55 +140,48 @@ def pivoted_orthonormalize(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy Gram-Schmidt under a diagonal +-1 inner product.
 
-    Repeatedly picks the candidate whose residual (after removing the
-    accepted directions) has the largest |<w, w>| relative to its
-    Euclidean norm, then normalizes by sqrt(|<w, w>|).  Near-ties go to
-    the lowest candidate index, so the pivot order does not jitter
-    under tiny parameter perturbations (definite signatures tie every
-    candidate at quality one).  Residuals much shorter than the round's
-    longest are left out of the tie: they are dominated by cancellation
-    noise from the projections, and normalizing one would contaminate
-    the frame even though its quality still looks perfect.  Candidates
-    whose residual shrinks below drop_tol times their original size are
-    treated as dependent and skipped.  Raises _NullPivot if only null
-    residuals remain while independent candidates still exist.
+    All residuals sit in one array; each round projects them against the
+    newest accepted vector only (modified Gram-Schmidt), picks the residual
+    w with the largest |<w, w>| / |w|^2 and normalizes it by sqrt(|<w, w>|).
+    Near-ties go to the lowest candidate index, so the pivot order does not
+    jitter under tiny parameter perturbations (definite signatures tie
+    every candidate at quality one).  Residuals much shorter than the
+    round's longest are left out of the tie: they are dominated by
+    cancellation noise from the projections, and normalizing one would
+    contaminate the frame even though its quality still looks perfect.
+    Candidates whose residual shrinks below drop_tol times their original
+    size are treated as dependent and skipped.  Raises _NullPivot if only
+    null residuals remain while independent candidates still exist, and
+    FrameConstructionError if a candidate is not finite.
     """
-    dim = candidates.shape[1]
-    pre_norms = np.linalg.norm(candidates, axis=1)
+    if not np.isfinite(candidates).all():
+        raise FrameConstructionError("normal candidates are non-finite")
+    pre = np.sqrt(np.einsum("ij,ij->i", candidates, candidates))
+    keep = pre > drop_tol
+    resid, floor = candidates[keep], drop_tol * pre[keep]
     accepted: list[np.ndarray] = []
     signs: list[int] = []
-
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sum(inner_diag * a * b))
-
     while len(accepted) < max_count:
-        entries: list[tuple[np.ndarray, float, float]] = []
-        for cand, pre in zip(candidates, pre_norms):
-            if pre <= drop_tol:
-                continue
-            w = cand.copy()
-            for q, s in zip(accepted, signs):
-                w -= s * inner(w, q) * q
-            norm = float(np.linalg.norm(w))
-            if norm <= drop_tol * pre:
-                continue  # numerically inside the accepted span
-            unit = w / norm
-            entries.append((w, norm, abs(inner(unit, unit))))
-        if not entries:
+        sq = np.einsum("ij,ij->i", resid, resid)
+        norms = np.sqrt(sq)
+        live = norms > floor  # others are numerically inside the accepted span
+        if not live.any():
             break  # pool exhausted: the span is fully captured
-        longest = max(norm for _, norm, _ in entries)
-        entries = [e for e in entries if e[1] >= 1e-3 * longest]
-        top = max(quality for _, _, quality in entries)
+        live &= norms >= 1e-3 * norms[live].max()
+        # add.reduce sums each row as np.sum sums it alone: no rounding depends on the batch
+        weighted = inner_diag * resid
+        ips = np.add.reduce(weighted * resid, axis=1)
+        quality = np.divide(np.abs(ips), sq, out=np.full(len(sq), -1.0), where=live)
+        top = quality.max()
         if top <= null_tol:
             raise _NullPivot(len(accepted))
-        best_vec = next(w for w, _, quality in entries if quality >= top - 1e-9)
-        ip = inner(best_vec, best_vec)
-        vec = best_vec / np.sqrt(abs(ip))
+        best = int(np.argmax(quality >= top - 1e-9))
+        sign = 1 if ips[best] > 0 else -1
+        vec = resid[best] / np.sqrt(abs(ips[best]))
+        resid = resid - (sign * np.add.reduce(weighted * vec, axis=1))[:, None] * vec
         accepted.append(vec)
-        signs.append(1 if ip > 0 else -1)
-    if not accepted:
-        return np.zeros((0, dim)), np.zeros(0, dtype=int)
-    return np.array(accepted), np.array(signs, dtype=int)
+        signs.append(sign)
+    return np.reshape(accepted, (len(accepted), candidates.shape[1])), np.array(signs, dtype=int)
 
 
 def classical_normal_frame(

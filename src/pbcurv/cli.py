@@ -125,9 +125,10 @@ def _classical_frame(spec: SurfaceSpec, at: tuple[float, float]) -> NormalFrame:
     return classical_normal_frame(emb, induced_metric(emb))
 
 
-def _frame(spec: SurfaceSpec, emb, at: tuple[float, float]):
+def _frame(spec: SurfaceSpec, emb, met, at: tuple[float, float]):
     """Classical frame with FD derivatives, and its second fundamental forms."""
-    ff = frame_with_derivatives(functools.partial(_classical_frame, spec), at, spec.signature)
+    build = functools.partial(_classical_frame, spec)
+    ff = frame_with_derivatives(build, at, spec.signature, center=classical_normal_frame(emb, met))
     frame = NormalFrame(ff.vectors, ff.sigma)
     return ff, frame, second_fundamental(emb, frame)
 
@@ -200,7 +201,7 @@ def _curvature_record(
         record[f"H_full_{i}"] = float(value)
     if not compare:
         return record
-    ff, frame, h = _frame(spec, emb, at)
+    ff, frame, h = _frame(spec, emb, met, at)
     record["K_frame"] = gauss_via_frame(table, emb, met, ff)
     record["K_oracle"] = classical_gauss(met, frame, h)
     for i, value in enumerate(classical_mean(met, frame, h), start=1):
@@ -307,7 +308,7 @@ def cmd_invariants(args) -> int:
         at = (u, v)
         try:
             emb, met, table = _tables(spec, rho, at)
-            ff, frame, h = _frame(spec, emb, at)
+            ff, frame, h = _frame(spec, emb, met, at)
             out = _identity_residuals(table, emb, met, ff, h)
             out["double_trace"] = _worst(
                 double_trace_check(table, emb, ff, 0, codim - 1, fa, ha)

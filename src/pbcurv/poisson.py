@@ -209,20 +209,22 @@ def _transported(center: NormalFrame, target: NormalFrame, gbar: np.ndarray, at)
 
 
 def frame_with_derivatives(
-    build, at: tuple[float, float], sig: AmbientSignature, step: float = FRAME_STEP
+    build, at: tuple[float, float], sig: AmbientSignature, step: float = FRAME_STEP,
+    center: NormalFrame | None = None,
 ) -> FrameField:
     """Differentiate a pointwise frame constructor by central differences.
 
-    build maps a parameter point to a NormalFrame.  Frames at the
-    stencil points are replaced by projector transports of the center
-    frame (see _transported), then combined with fourth-order weights.
+    build maps a parameter point to a NormalFrame; center, when given, is
+    build(at) already at hand.  Frames at the stencil points are replaced
+    by projector transports of the center frame (see _transported), then
+    combined with fourth-order weights.
     The transported field is exactly the center frame at the center and
     stays smooth in the stencil parameter, so the quotients converge at
     full order even where the pointwise construction picks pivots
     non-smoothly.
     """
     u, v = at
-    center = build((u, v))
+    center = build((u, v)) if center is None else center
     gbar = sig.gbar
     grads = np.zeros(center.vectors.shape + (2,))
     for axis, (du, dv) in enumerate(((1.0, 0.0), (0.0, 1.0))):
@@ -304,8 +306,10 @@ class ZData:
 
     Z_lower[K] is the normal vector attached to the sorted multi-index K
     of length codim-1; Z_upper raises K with its metric sign weights[K].
-    Zmat is the mixed-index projector matrix acting on those
-    multi-indices; delta counts timelike normal directions.
+    The rows of Z_lower feed the normal frame.  Zmat, the mixed-index
+    projector matrix acting on those multi-indices, feeds only the
+    z_idempotent, z_trace and z_self_adjoint identity rows; delta counts
+    timelike normal directions.
     """
 
     indices: list[tuple[int, ...]]
@@ -392,29 +396,27 @@ def zmap_invariants(
 
 
 def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
-    """Extract a pseudo-orthonormal normal frame from the projector.
+    """Extract a pseudo-orthonormal normal frame from the bracket rows.
 
-    The rows of Zmat span the projector's image; greedy Gram-Schmidt
-    under the multi-index metric yields codim orthonormal image
-    covectors, and contracting them against the raised normal vectors
-    gives the frame.  Raises RankDeficiencyError when the image rank
-    is not exactly codim at tolerance 1e-8.
+    Every row of Z_lower lies in the normal space and together they span
+    it, so greedy Gram-Schmidt under gbar on those C(m, 3) length-m rows
+    yields the frame and its signs directly; Zmat is not used.  Raises
+    RankDeficiencyError when the rows do not span exactly codim
+    directions at tolerance 1e-8.
     """
     p = sig.codim
     try:
-        vecs, signs = pivoted_orthonormalize(
-            zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8, drop_tol=1e-8
+        normals, sigma = pivoted_orthonormalize(
+            zd.Z_lower, sig.gbar, sig.m, null_tol=1e-8, drop_tol=1e-8
         )
     except _NullPivot as exc:
         raise RankDeficiencyError(
             f"projector image contains only null directions after {exc.args[0]} vectors"
         ) from exc
-    if vecs.shape[0] != p:
+    if normals.shape[0] != p:
         raise RankDeficiencyError(
-            f"projector image has rank {vecs.shape[0]}, expected {p}"
+            f"projector image has rank {normals.shape[0]}, expected {p}"
         )
-    normals = vecs @ zd.Z_upper
-    sigma = zd.delta_sign * signs
     gram = np.einsum("Ai,i,Bi->AB", normals, sig.gbar, normals)
     residual = float(np.abs(gram - np.diag(sigma)).max())
     if residual > 1e-8:

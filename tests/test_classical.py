@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from pbcurv import classical
 from pbcurv.classical import (
+    _NullPivot,
     classical_gauss,
     classical_mean,
     classical_normal_frame,
@@ -12,6 +17,7 @@ from pbcurv.classical import (
     induced_metric,
     metric_jets,
     normal_projector,
+    pivoted_orthonormalize,
     second_fundamental,
     tangent_projector,
 )
@@ -20,7 +26,13 @@ from pbcurv.exprlang import parse_expression
 from pbcurv.surfaces import CATALOG
 from pbcurv.tensor import AmbientSignature
 
-from helpers import interior_points, midpoint
+from helpers import (
+    clear_of_degeneracy,
+    interior_points,
+    looped_orthonormalize,
+    midpoint,
+    random_embedding,
+)
 
 
 def embed(name, at):
@@ -255,3 +267,96 @@ def test_null_pivot_rejected():
     assert vecs.shape == (1, 3)
     assert signs.tolist() == [1]
     assert np.allclose(vecs[0], [0.0, 0.0, 1.0], atol=1e-15)
+
+
+def _pivot_or_raise(fn, candidates, inner_diag, max_count):
+    try:
+        return fn(candidates, inner_diag, max_count, null_tol=1e-10)
+    except _NullPivot as exc:
+        return f"null pivot after {exc.args[0]} vectors"
+
+
+def _assert_same_vectors(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= 1e-13 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(2, 8)),
+    rank=st.integers(1, 8),
+    max_count=st.integers(1, 8),
+    with_null=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pivoted_orthonormalize_matches_looped_oracle(shape, rank, max_count, with_null, seed):
+    n, dim = shape
+    rank = min(rank, dim)
+    rng = np.random.default_rng(seed)
+    inner_diag = rng.choice([-1.0, 1.0], dim)
+    basis = rng.normal(size=(rank, dim))
+    if with_null:
+        # e_0 + e_1 is null and gbar-orthogonal to e_2, e_3, ...: once the
+        # other directions are accepted only a null residual remains
+        inner_diag[:2] = (1.0, -1.0)
+        rank = min(rank, dim - 1)
+        basis = np.eye(dim)[np.r_[0, 2 + rng.permutation(dim - 2)[: rank - 1]]]
+        basis[0, 1] = 1.0
+    # dependent rows, rows spread over six decades, and an exact zero row
+    candidates = rng.normal(size=(n, rank)) @ basis
+    candidates *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    candidates[rng.integers(n)] *= float(rng.integers(2))
+    got = _pivot_or_raise(pivoted_orthonormalize, candidates, inner_diag, max_count)
+    want = _pivot_or_raise(looped_orthonormalize, candidates, inner_diag, max_count)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got[1].tolist() == want[1].tolist()
+    _assert_same_vectors(got[0], want[0])
+
+
+def _assert_frame_matches_looped(emb, met) -> None:
+    """Same pivot order and signs as the looped Gram-Schmidt, vectors within 1e-13."""
+    try:
+        frame = classical_normal_frame(emb, met)
+    except FrameConstructionError:
+        frame = None
+    with mock.patch.object(classical, "pivoted_orthonormalize", looped_orthonormalize):
+        try:
+            oracle = classical_normal_frame(emb, met)
+        except FrameConstructionError:
+            assert frame is None
+            return
+    assert frame is not None
+    assert frame.sigma.tolist() == oracle.sigma.tolist()
+    _assert_same_vectors(frame.vectors, oracle.vectors)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_classical_frame_matches_looped_oracle_on_catalog(name):
+    for at in interior_points(CATALOG[name], (5, 5)):
+        _assert_frame_matches_looped(*embed(name, at))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classical_frame_matches_looped_oracle_on_random_jets(dims, seed):
+    emb = random_embedding(*dims, seed)
+    assume(clear_of_degeneracy(emb))
+    _assert_frame_matches_looped(emb, induced_metric(emb))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_candidates_rejected(bad):
+    candidates = np.eye(3)
+    candidates[2, 1] = bad
+    with pytest.raises(FrameConstructionError, match="non-finite"):
+        pivoted_orthonormalize(candidates, np.ones(3), 1, null_tol=1e-10)
+    emb, met = embed("torus", (1.0, 0.5))
+    emb.e[0, 2] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(FrameConstructionError, match="non-finite"):
+        classical_normal_frame(emb, met)

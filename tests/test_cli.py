@@ -206,6 +206,16 @@ def test_invariants_reuses_the_run_table(capsys, monkeypatch):
     assert (len(tables), len(tensors)) == (3, 3)
 
 
+@pytest.mark.parametrize(
+    "args", [["invariants", "torus"], ["curvature", "torus", "--compare"]]
+)
+def test_centre_point_evaluated_once(args, capsys, monkeypatch):
+    evaluations = _count_calls(monkeypatch, cli, "evaluate_embedding")
+    assert run_cli(args + ["--grid", "3x3"], capsys)[0] == 0
+    # one interior point: the centre plus the 8 points of the FD frame stencil
+    assert len(evaluations) == 9
+
+
 def test_curvature_csv_json_same_numbers(capsys):
     args = ["curvature", "helicoid", "--grid", "4x4", "--compare"]
     code, csv_out, _ = run_cli(args + ["--format", "csv"], capsys)
@@ -484,24 +494,32 @@ def test_bench_r5_ratio_positive(capsys):
 # --- console entry point -----------------------------------------------------
 
 
-def test_module_entry_point_subprocess():
-    # the child imports the same pbcurv as this process, installed or not
+def run_module(args):
+    """Run `python -m pbcurv.cli` on the pbcurv this process imports, installed or not."""
     src = str(Path(pbcurv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pbcurv.cli", "curvature", "plane", "--grid", "3x3"],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "pbcurv.cli", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_module_entry_point_subprocess():
+    proc = run_module(["curvature", "plane", "--grid", "3x3"])
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].startswith("u,v,status,K_full")
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "pbcurv.cli", "curvature", "nope"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module(["curvature", "nope"])
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("args", [["curvature", "--compare"], ["invariants"]])
+def test_non_finite_frame_candidates_exit_three(args, tmp_path):
+    cfg = tmp_path / "steep.surface"
+    cfg.write_text(
+        'm = 3\nnu = 0\ncoords = ["u", "v", "exp(800*u)"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    proc = run_module([args[0], str(cfg), "--grid", "3x3", *args[1:]])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "normal candidates are non-finite" in proc.stderr

@@ -1,4 +1,4 @@
-"""The bracket normal projector against its ordered-multi-index oracle.
+"""The bracket normal projector and frame against the constructions they replaced.
 
 build_z has one row per sorted multi-index J, C(m, 3) rows.  The oracle
 here is the construction it replaced: one row per ordered multi-index,
@@ -6,6 +6,10 @@ m**(m-3) rows, each the contraction of the dense permutation symbol
 eps_{iklJ} with the coordinate-bracket matrix.  Rows of permuted
 multi-indices are +-1 times each other, so both builds share the trace,
 Z_lower^T Z_upper and the normal space their frames span.
+
+normal_frame_from_z orthonormalizes the rows of Z_lower under gbar; its
+oracle orthonormalizes the rows of Zmat under the multi-index metric with
+the looped Gram-Schmidt and contracts the result with Z_upper.
 """
 
 import itertools
@@ -16,13 +20,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import clear_of_degeneracy, interior_points, point_setup, random_embedding
+from helpers import (
+    clear_of_degeneracy,
+    interior_points,
+    looped_orthonormalize,
+    point_setup,
+    random_embedding,
+)
 from pbcurv.classical import (
+    NormalFrame,
     classical_normal_frame,
     evaluate_embedding,
     induced_metric,
     normal_projector,
 )
+from pbcurv.errors import FrameConstructionError
 from pbcurv.exprlang import parse_expression
 from pbcurv.poisson import (
     DensityChoice,
@@ -65,6 +77,23 @@ def build_z_ordered(table, emb, met) -> ZData:
     delta_sign = (-1) ** delta
     Zmat = delta_sign * np.einsum("Ii,i,Ji->IJ", ZU, gb, ZL)
     return ZData(idxs, gJ, ZL, ZU, Zmat, delta, delta_sign)
+
+
+def normal_frame_from_zmat(zd: ZData, sig: AmbientSignature) -> NormalFrame:
+    """The frame from the rows of Zmat, orthonormalized under the multi-index metric.
+
+    Contracting the orthonormal image covectors with the raised normal
+    vectors gives the normals; their signs carry the factor delta_sign.
+    """
+    vecs, signs = looped_orthonormalize(
+        zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8, drop_tol=1e-8
+    )
+    assert vecs.shape[0] == sig.codim
+    normals = vecs @ zd.Z_upper
+    sigma = zd.delta_sign * signs
+    gram = np.einsum("Ai,i,Bi->AB", normals, sig.gbar, normals)
+    assert float(np.abs(gram - np.diag(sigma)).max()) <= 1e-8
+    return NormalFrame(normals, sigma)
 
 
 def _scaled(diff: np.ndarray, ref: np.ndarray) -> float:
@@ -132,3 +161,44 @@ def test_projector_above_the_cap(monkeypatch):
         assert value <= 1e-12, (key, value)
     proj = normal_projector(sig, classical_normal_frame(emb, met))
     assert _scaled(normal_projector(sig, normal_frame_from_z(zd, sig)) - proj, proj) <= 1e-12
+
+
+def assert_frame_matches_zmat_oracle(table, emb, met) -> None:
+    sig = emb.sig
+    zd = build_z(table, emb, met)
+    frame = normal_frame_from_z(zd, sig)
+    oracle = normal_frame_from_zmat(zd, sig)
+    proj = normal_projector(sig, oracle)
+    assert _scaled(normal_projector(sig, frame) - proj, proj) <= 1e-12
+    assert sorted(frame.sigma.tolist()) == sorted(oracle.sigma.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_z_frame_matches_zmat_oracle_on_catalog(name):
+    for at in interior_points(CATALOG[name], (5, 5)):
+        for rho in ("unit", "sqrt_abs_g"):
+            spec, emb, met, table = point_setup(name, at, rho)
+            assert_frame_matches_zmat_oracle(table, emb, met)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(3, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from(["unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)"]),
+)
+def test_z_frame_matches_zmat_oracle_on_random_jets(dims, seed, density):
+    m, nu = dims
+    emb = random_embedding(m, nu, seed)
+    assume(clear_of_degeneracy(emb))
+    met = induced_metric(emb)
+    table = build_bracket_table(emb, DensityChoice.from_string(density))
+    assert_frame_matches_zmat_oracle(table, emb, met)
+
+
+def test_z_frame_rejects_non_finite_rows():
+    spec, emb, met, table = point_setup("r5-product")
+    zd = build_z(table, emb, met)
+    zd.Z_lower[1, 0] = math.nan
+    with pytest.raises(FrameConstructionError, match="non-finite"):
+        normal_frame_from_z(zd, emb.sig)

@@ -70,7 +70,12 @@ class InducedMetric:
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     gbar = emb.sig.gbar
     gab = np.einsum("i,ai,bi->ab", gbar, emb.e, emb.e)
-    det_g = float(gab[0, 0] * gab[1, 1] - gab[0, 1] * gab[1, 0])
+    (g00, g01), (g10, g11) = gab.tolist()
+    det_g = g00 * g11 - g01 * g10  # Python floats: no numpy warning on overflow
+    if not (np.isfinite(gab).all() and np.isfinite(det_g)):
+        raise DegenerateMetricError(
+            f"induced metric is not finite at (u, v) = {emb.at}: det g = {det_g!r}"
+        )
     scale = max(float(np.abs(gab).max()), 1.0)
     if abs(det_g) < DEGENERACY_TOL * scale * scale:
         raise DegenerateMetricError(

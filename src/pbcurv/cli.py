@@ -1,4 +1,4 @@
-"""Command line front end: curvature tables, identity checks, benchmarks.
+"""Command line front end: curvature tables and identity checks.
 
 Exit codes: 0 success, 1 invariant or comparison failure, 2 usage or
 configuration error, 3 geometric error at a sample point.
@@ -11,9 +11,7 @@ import functools
 import itertools
 import json
 import math
-import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -133,11 +131,8 @@ def _frame(spec: SurfaceSpec, emb, met, at: tuple[float, float]):
     return ff, frame, second_fundamental(emb, frame)
 
 
-def _kh(table, emb, met, contraction: str = "reduced"):
-    return (
-        gauss_full_from_table(table, emb, met, contraction),
-        mean_full_from_table(table, emb, met, contraction),
-    )
+def _kh(table, emb, met):
+    return gauss_full_from_table(table, emb, met), mean_full_from_table(table, emb, met)
 
 
 def _kh_spread(kh) -> float:
@@ -340,59 +335,6 @@ def cmd_invariants(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_bench(args) -> int:
-    spec, rho, points = _load(args)
-    naive_times: list[int] = []
-    reduced_times: list[int] = []
-    for _, _, u, v in points:
-        try:
-            emb, met, table = _tables(spec, rho, (u, v))
-        except GeometricError as exc:
-            raise _geometric((u, v), exc) from exc
-        paths = [_kh(table, emb, met, "naive"), _kh(table, emb, met, "reduced")]
-        if not _kh_spread(paths) <= 1e-12:
-            print(
-                f"contraction paths disagree at (u, v) = ({u!r}, {v!r})",
-                file=sys.stderr,
-            )
-            return 1
-        naive_times.append(
-            _time_once(lambda: _kh(table, emb, met, "naive"), args.repetitions)
-        )
-        reduced_times.append(
-            _time_once(lambda: _kh(table, emb, met, "reduced"), args.repetitions)
-        )
-    naive_ns = statistics.median(naive_times)
-    reduced_ns = statistics.median(reduced_times)
-    m = spec.m
-    print(
-        f"surface: {spec.name}  m={m}  points={len(points)}  "
-        f"repetitions={args.repetitions}"
-    )
-    print(
-        f"naive contraction: one symbol call per pair of index triples, "
-        f"each summing {m ** (m - 3)} multi-index terms"
-    )
-    print(
-        f"reduced contraction: a compensated sum of products over the whole ({m}, {m}, {m}) "
-        f"nested-bracket tensor"
-    )
-    print(f"naive:   {naive_ns:.0f} ns/point (median of per-point bests)")
-    print(f"reduced: {reduced_ns:.0f} ns/point (median of per-point bests)")
-    print(f"ratio:   {naive_ns / reduced_ns:.2f}")
-    return 0
-
-
-def _time_once(fn, repetitions: int) -> int:
-    best: int | None = None
-    for _ in range(max(1, repetitions)):
-        start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best
-
-
 def _parse_grid(text: str | None) -> tuple[int, int] | None:
     if text is None:
         return None
@@ -447,11 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_inv)
     tolerance(p_inv)
     p_inv.set_defaults(fn=cmd_invariants)
-
-    p_bench = sub.add_parser("bench", help="time the two contraction paths")
-    common(p_bench)
-    p_bench.add_argument("--repetitions", type=int, default=5)
-    p_bench.set_defaults(fn=cmd_bench)
     return parser
 
 

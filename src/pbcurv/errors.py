@@ -63,7 +63,7 @@ class EvalError(GeometricError):
 
 
 class DimensionCapError(UsageError):
-    """Ambient dimension exceeds the configured cap for exhaustive paths."""
+    """Ambient dimension exceeds the cap of the exhaustive oracle paths."""
 
 
 class DegenerateMetricError(GeometricError):

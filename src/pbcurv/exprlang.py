@@ -265,6 +265,9 @@ def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
             return jets.ELEMENTARY[node.fn](eval_jet(node.arg, at))
     except (JetDomainError, JetDivisionByZero) as exc:
         raise EvalError(str(exc), node.pos) from exc
+    except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
+        fn = node.fn if isinstance(node, Call) else getattr(node, "op", "pow")
+        raise EvalError(f"{fn} overflows the float range", node.pos) from exc
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -429,23 +429,25 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 # --- Frame-free curvature ------------------------------------------------
 #
 # Both curvatures contract two rank-m permutation symbols over their m-3
-# trailing slots.  The "reduced" path applies
+# trailing slots.  gauss_full_from_table and mean_full_from_table apply
 # eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl} to whole tensors.  The
 # six signed pairings of the generalized delta collapse to two sums after
 # relabelling, because T, G and P are exactly antisymmetric in their last
-# two slots (build_bracket_table writes P[j, i] = -P[i, j]).  The "naive"
-# path is the oracle: it tabulates the symbol contraction by brute force,
-# one eps_contract_naive call per pair of index triples.
+# two slots (build_bracket_table writes P[j, i] = -P[i, j]).  The tests
+# compare them against the oracles _gauss_naive and _mean_naive, which
+# tabulate the symbol contraction by brute force, one eps_contract_naive
+# call per pair of index triples.
 #
-# Both paths add their terms with math.fsum, which rounds once.  The terms
-# cancel heavily: on random Lorentzian jets the sum of their magnitudes
-# reaches 6e4 times the result, so even the one rounding of each product
-# can leave errors above 1e-12 relative, in the oracle as much as in the
-# closed form.  Where the terms of a sum cancel by more than _CANCEL_MAX,
-# each product a * b is split exactly into p + e (Dekker's two-product)
-# and the e are added too; elsewhere the product roundings move the sum by
-# at most _CANCEL_MAX * eps = 1.1e-13 relative.  Given the same T, G and
-# P, the two paths therefore agree to within about 2.5e-13 relative.
+# Closed form and oracle add their terms with math.fsum, which rounds
+# once.  The terms cancel heavily: on random Lorentzian jets the sum of
+# their magnitudes reaches 6e4 times the result, so even the one rounding
+# of each product can leave errors above 1e-12 relative, in the oracle as
+# much as in the closed form.  Where the terms of a sum cancel by more
+# than _CANCEL_MAX, each product a * b is split exactly into p + e
+# (Dekker's two-product) and the e are added too; elsewhere the product
+# roundings move the sum by at most _CANCEL_MAX * eps = 1.1e-13 relative.
+# Given the same T, G and P, the closed form and the oracle therefore
+# agree to within about 2.5e-13 relative.
 
 
 def _naive_symbol_pairs(m: int) -> np.ndarray:
@@ -457,6 +459,41 @@ def _naive_symbol_pairs(m: int) -> np.ndarray:
         for irn in triples:
             D[tuple(a - 1 for a in jkl + irn)] = eps_contract_naive(jkl, irn, m)
     return D
+
+
+def _gauss_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> float:
+    """Oracle for gauss_full_from_table: the symbol contraction in full."""
+    sig = emb.sig
+    T = _nested(table, emb)
+    gb = sig.gbar
+    D = _naive_symbol_pairs(sig.m)
+    j, k, l, i, r, n = np.nonzero(D)
+    c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
+    left = _int_times(c, T[i, k, l])
+    acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
+    rv = table.rho.value
+    return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
+
+
+def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
+    """Oracle for mean_full_from_table: the symbol contraction in full."""
+    sig = emb.sig
+    m = sig.m
+    T = _nested(table, emb)
+    gb = sig.gbar
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
+    W = gb[:, None] * table.P * gb[None, :]
+    D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
+    k, i, r, n, a, b = np.nonzero(D)
+    left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
+    right = np.tile(W[a, b], 2)
+    rows = np.tile(k, 2)
+    out = np.array(
+        [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
+    )
+    rv = table.rho.value
+    factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
+    return factor * out
 
 
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -542,16 +579,8 @@ def _mean_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, :, 0], idx[:, :, 1]
 
 
-def _check_contraction(contraction: str) -> None:
-    if contraction not in ("naive", "reduced"):
-        raise ValueError(f"contraction must be 'naive' or 'reduced', got {contraction!r}")
-
-
 def gauss_full_from_table(
-    table: BracketTable,
-    emb: EmbeddingEval,
-    met: InducedMetric,
-    contraction: str = "reduced",
+    table: BracketTable, emb: EmbeddingEval, met: InducedMetric
 ) -> float:
     """Gauss curvature from nested coordinate brackets, no frame input.
 
@@ -560,31 +589,19 @@ def gauss_full_from_table(
     (m-3)! (2 gbar_i gbar_r gbar_n T[i,r,n]^2 - 4 gbar_n v_n^2)
     with v_n = gbar_i T[i,i,n].
     """
-    _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
     T = _nested(table, emb)
-    if contraction == "naive":
-        gb = sig.gbar
-        D = _naive_symbol_pairs(m)
-        j, k, l, i, r, n = np.nonzero(D)
-        c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
-        left = _int_times(c, T[i, k, l])
-        acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
-    else:
-        left, right, w = _gauss_terms(sig)
-        Tf = T.ravel()
-        # w is a signed power of two, so w * T is exact
-        acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
+    left, right, w = _gauss_terms(sig)
+    Tf = T.ravel()
+    # w is a signed power of two, so w * T is exact
+    acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
     rv = table.rho.value
     return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
 
 
 def mean_full_from_table(
-    table: BracketTable,
-    emb: EmbeddingEval,
-    met: InducedMetric,
-    contraction: str = "reduced",
+    table: BracketTable, emb: EmbeddingEval, met: InducedMetric
 ) -> np.ndarray:
     """Mean curvature vector from coordinate brackets, no frame input.
 
@@ -593,44 +610,29 @@ def mean_full_from_table(
     W[a,b] = gbar_a gbar_b {x^a, x^b}, reduces to
     2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]).
     """
-    _check_contraction(contraction)
     sig = emb.sig
     m, p = sig.m, sig.codim
     T = _nested(table, emb)
     gb = sig.gbar
     G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
     W = gb[:, None] * table.P * gb[None, :]
-    if contraction == "naive":
-        D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
-        k, i, r, n, a, b = np.nonzero(D)
-        left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
-        right = np.tile(W[a, b], 2)
-        rows = np.tile(k, 2)
-        out = np.array(
-            [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
-        )
-    else:
-        left, right = _mean_terms(m)
-        out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
+    left, right = _mean_terms(m)
+    out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
     rv = table.rho.value
     factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
     return factor * out
 
 
-def gauss_full(
-    emb: EmbeddingEval, rho_choice: DensityChoice, contraction: str = "reduced"
-) -> float:
+def gauss_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> float:
     met = induced_metric(emb)
     table = build_bracket_table(emb, rho_choice)
-    return gauss_full_from_table(table, emb, met, contraction)
+    return gauss_full_from_table(table, emb, met)
 
 
-def mean_full(
-    emb: EmbeddingEval, rho_choice: DensityChoice, contraction: str = "reduced"
-) -> np.ndarray:
+def mean_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> np.ndarray:
     met = induced_metric(emb)
     table = build_bracket_table(emb, rho_choice)
-    return mean_full_from_table(table, emb, met, contraction)
+    return mean_full_from_table(table, emb, met)
 
 
 # --- Scaling behavior of mixed brackets ----------------------------------

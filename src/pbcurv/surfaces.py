@@ -15,10 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, PbcurvError
+from .errors import ConfigError, PbcurvError, UsageError
 from .exprlang import Ast, parse_expression
 from .poisson import DensityChoice
 from .tensor import AmbientSignature
+
+# Most interior grid points one command samples; checked before any allocation.
+MAX_GRID_POINTS = 10**6
 
 
 @dataclass(eq=False)
@@ -79,9 +82,16 @@ def grid_points(
 
     The full grid spans the domain inclusively after insetting each side
     by excluded_margins times the span; only points with indices
-    1..n-2 in both directions are returned.
+    1..n-2 in both directions are returned.  Negative counts and grids
+    with more than MAX_GRID_POINTS interior points raise UsageError.
     """
     nu_, nv_ = grid if grid is not None else spec.grid
+    if nu_ < 0 or nv_ < 0:
+        raise UsageError(f"grid counts must be non-negative, got {nu_}x{nv_}")
+    if max(nu_ - 2, 0) * max(nv_ - 2, 0) > MAX_GRID_POINTS:
+        raise UsageError(
+            f"grid {nu_}x{nv_} has more than {MAX_GRID_POINTS} interior points"
+        )
     u0, u1, v0, v1 = spec.domain
     f = spec.excluded_margins
     du, dv = u1 - u0, v1 - v0

@@ -5,16 +5,16 @@ but three slots: eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl}.
 Production code (poisson.gauss_full_from_table and mean_full_from_table)
 applies this identity to whole (m, m, m) tensors and never calls the
 scalar functions here.  Two scalar versions stay for tests and for the
-"naive" oracle path: a brute-force sum over every multi-index and the
-closed form with six signed Kronecker-delta pairings times (m-3)!.  Both
-work on plain integers, so their agreement is exact, not approximate.
+brute-force oracles poisson._gauss_naive and _mean_naive: a sum over
+every multi-index and the closed form with six signed Kronecker-delta
+pairings times (m-3)!.  Both work on plain integers, so their agreement
+is exact, not approximate.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,30 +22,14 @@ import numpy as np
 
 from .errors import DimensionCapError
 
-DEFAULT_MAX_M = 8
-_ENV_CAP = "PBCURV_MAX_M"
-
-
-def max_dimension() -> int:
-    """Cap on m for paths whose cost grows like m**(m-3)."""
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return DEFAULT_MAX_M
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DimensionCapError(f"{_ENV_CAP} must be an integer, got {raw!r}") from exc
-    if cap < 3:
-        raise DimensionCapError(f"{_ENV_CAP} must be at least 3, got {cap}")
-    return cap
+# Cap on m for the oracle paths whose cost grows like m**(m-3).
+MAX_M = 8
 
 
 def ensure_within_cap(m: int, what: str) -> None:
-    cap = max_dimension()
-    if m > cap:
+    if m > MAX_M:
         raise DimensionCapError(
-            f"{what} needs ambient dimension m={m} but the cap is {cap} "
-            f"(set {_ENV_CAP} to raise it)"
+            f"{what} needs ambient dimension m={m} but the cap is {MAX_M}"
         )
 
 

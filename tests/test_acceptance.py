@@ -26,6 +26,8 @@ from pbcurv.classical import (
 from pbcurv.exprlang import eval_jet, eval_value, parse_expression
 from pbcurv.poisson import (
     DensityChoice,
+    _gauss_naive,
+    _mean_naive,
     build_bracket_table,
     build_z,
     double_trace_check,
@@ -85,8 +87,8 @@ def test_bracket_curvature_matches_classical_oracle():
         anchor = CLOSED_FORM_K.get(spec.name)
         for at in _points(spec, (8, 8)):
             emb, met, table = _setup(spec, at)
-            k_full = gauss_full_from_table(table, emb, met, "reduced")
-            h_full = mean_full_from_table(table, emb, met, "reduced")
+            k_full = gauss_full_from_table(table, emb, met)
+            h_full = mean_full_from_table(table, emb, met)
             frame = classical_normal_frame(emb, met)
             h2 = second_fundamental(emb, frame)
             k_oracle = classical_gauss(met, frame, h2)
@@ -224,8 +226,8 @@ def test_curvature_independent_of_density_choice():
                 emb, met, table = _setup(spec, at, rho)
                 results.append(
                     (
-                        gauss_full_from_table(table, emb, met, "reduced"),
-                        mean_full_from_table(table, emb, met, "reduced"),
+                        gauss_full_from_table(table, emb, met),
+                        mean_full_from_table(table, emb, met),
                     )
                 )
             for (ka, ha), (kb, hb) in itertools.combinations(results, 2):
@@ -248,10 +250,10 @@ def test_contraction_paths_agree(monkeypatch):
     worst_assembled = 0.0
     for spec in _specs():
         emb, met, table = _setup(spec, midpoint(spec))
-        k_n = gauss_full_from_table(table, emb, met, "naive")
-        k_r = gauss_full_from_table(table, emb, met, "reduced")
-        h_n = mean_full_from_table(table, emb, met, "naive")
-        h_r = mean_full_from_table(table, emb, met, "reduced")
+        k_n = _gauss_naive(table, emb, met)
+        k_r = gauss_full_from_table(table, emb, met)
+        h_n = _mean_naive(table, emb, met)
+        h_r = mean_full_from_table(table, emb, met)
         worst_assembled = max(worst_assembled, rel(k_n, k_r), vec_rel(h_n, h_r))
 
     # the closed form must never touch the dense m-indexed symbol table
@@ -263,10 +265,10 @@ def test_contraction_paths_agree(monkeypatch):
     assert eps_contract_reduced((1, 2, 3), (1, 2, 3), 12) == math.factorial(9)
     spec = load_spec("r5-product")
     emb, met, table = _setup(spec, midpoint(spec))
-    gauss_full_from_table(table, emb, met, "reduced")
-    mean_full_from_table(table, emb, met, "reduced")
+    gauss_full_from_table(table, emb, met)
+    mean_full_from_table(table, emb, met)
     try:
-        gauss_full_from_table(table, emb, met, "naive")
+        _gauss_naive(table, emb, met)
         table_free = 1.0  # the naive path must consult the table
     except AssertionError:
         pass
@@ -300,7 +302,7 @@ def test_euclidean_anchors_reproduce_textbook_values():
             expected = formula(*at)
             frame = classical_normal_frame(emb, met)
             k_oracle = classical_gauss(met, frame, second_fundamental(emb, frame))
-            k_full = gauss_full_from_table(table, emb, met, "reduced")
+            k_full = gauss_full_from_table(table, emb, met)
             worst_oracle = max(worst_oracle, rel(k_oracle, expected))
             worst_full = max(worst_full, rel(k_full, expected))
             n_points += 1

@@ -295,11 +295,12 @@ def test_curvature_grid_without_interior_points_exit_two(capsys):
     ],
 )
 def test_removed_options_are_usage_errors(args, capsys):
-    # argparse rejects unknown options by raising SystemExit(2)
+    # argparse rejects unknown options and subcommands by raising SystemExit(2)
     with pytest.raises(SystemExit) as info:
         main(args + ["--grid", "3x3"])
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    expected = "invalid choice" if args[0] == "bench" else "unrecognized arguments"
+    assert expected in capsys.readouterr().err
 
 
 def test_curvature_rho_flag_changes_nothing(capsys):
@@ -350,31 +351,31 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "sphere", "--rho", "expr:u @ v"], capsys)[0] == 2
 
 
-def test_dimension_cap_exit_two(tmp_path, capsys, monkeypatch):
-    # only the naive contraction (bench) is capped; the projector is not
-    monkeypatch.setenv("PBCURV_MAX_M", "3")
-    code, _, err = run_cli(["bench", "flat-torus-r4", "--grid", "3x3"], capsys)
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("-5x3", "must be non-negative"),
+        ("3x-1", "must be non-negative"),
+        ("100000x100000", "more than 1000000 interior points"),
+        ("1003x1003", "more than 1000000 interior points"),
+    ],
+)
+def test_grid_size_checked_before_sampling(grid, message, capsys):
+    code, out, err = run_cli(["curvature", "sphere", f"--grid={grid}"], capsys)
     assert code == 2
-    assert "PBCURV_MAX_M" in err
-    code, _, _ = run_cli(
-        ["curvature", "flat-torus-r4", "--grid", "3x3", "--compare"], capsys
-    )
-    assert code == 0
-    monkeypatch.setenv("PBCURV_MAX_M", "4")
-    code, _, _ = run_cli(["bench", "flat-torus-r4", "--grid", "3x3"], capsys)
-    assert code == 0
+    assert out == ""
+    assert message in err
 
 
-def test_bench_cap_on_large_m(tmp_path, capsys):
-    coords = ["u", "v", "u*v", "u^2", "v^2", "sin(u)", "cos(v)", "u + v", "u - v"]
-    quoted = ", ".join(f'"{c}"' for c in coords)
-    cfg = tmp_path / "m9.surface"
+def test_config_grid_size_checked_before_sampling(tmp_path, capsys):
+    cfg = tmp_path / "huge.surface"
     cfg.write_text(
-        f"m = 9\nnu = 0\ncoords = [{quoted}]\ndomain = [0.1, 1, 0.1, 1]\n"
+        'm = 3\nnu = 0\ncoords = ["u", "v", "u*v"]\ndomain = [0, 1, 0, 1]\n'
+        "grid = [100000, 100000]\n"
     )
-    code, _, err = run_cli(["bench", str(cfg), "--grid", "3x3"], capsys)
+    code, _, err = run_cli(["invariants", str(cfg)], capsys)
     assert code == 2
-    assert "m=9" in err
+    assert "more than 1000000 interior points" in err
 
 
 # --- invariants ------------------------------------------------------------
@@ -452,9 +453,9 @@ def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
     real = cli.mean_full_from_table
     calls = []
 
-    def nan_on_second_call(table, emb, met, contraction="reduced"):
+    def nan_on_second_call(table, emb, met):
         calls.append(None)
-        out = real(table, emb, met, contraction)
+        out = real(table, emb, met)
         return out * math.nan if len(calls) == 2 else out
 
     monkeypatch.setattr(cli, "mean_full_from_table", nan_on_second_call)
@@ -463,32 +464,6 @@ def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
     row = next(line for line in out.splitlines() if line.startswith("rho_independence"))
     assert "nan" in row and "FAIL" in row
     assert "FAIL" not in out.replace(row, "")
-
-
-# --- bench -----------------------------------------------------------------
-
-
-def test_bench_reports_both_paths(capsys):
-    code, out, _ = run_cli(
-        ["bench", "sphere", "--grid", "3x3", "--repetitions", "1"], capsys
-    )
-    assert code == 0
-    assert "naive:" in out
-    assert "reduced:" in out
-    assert "ratio:" in out
-    # m = 3 has no trailing indices at all
-    assert "1 multi-index terms" in out
-    assert "(median of per-point bests)" in out
-    assert "whole (3, 3, 3) nested-bracket tensor" in out
-
-
-def test_bench_r5_ratio_positive(capsys):
-    code, out, _ = run_cli(
-        ["bench", "r5-product", "--grid", "3x3", "--repetitions", "1"], capsys
-    )
-    assert code == 0
-    ratio = float(out.strip().splitlines()[-1].split()[-1])
-    assert ratio > 0.0
 
 
 # --- console entry point -----------------------------------------------------
@@ -522,4 +497,37 @@ def test_non_finite_frame_candidates_exit_three(args, tmp_path):
     proc = run_module([args[0], str(cfg), "--grid", "3x3", *args[1:]])
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert "normal candidates are non-finite" in proc.stderr
+    assert "induced metric is not finite" in proc.stderr
+
+
+def test_non_finite_metric_exit_three_or_skipped(tmp_path):
+    cfg = tmp_path / "steep.surface"
+    cfg.write_text(
+        'm = 3\nnu = 0\ncoords = ["u", "v", "exp(800*u)"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    proc = run_module(["curvature", str(cfg), "--grid", "3x3"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("geometric error:")
+    assert "induced metric is not finite" in proc.stderr
+    assert "Warning" not in proc.stderr
+
+    proc = run_module(["curvature", str(cfg), "--grid", "3x3", "--skip-degenerate"])
+    assert proc.returncode == 0
+    _, (row,) = parse_csv(proc.stdout)
+    assert row["status"].startswith("skipped: induced metric is not finite")
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "coord, fn", [("cosh(2000*u)", "cosh"), ("exp(exp(exp(exp(10*u))))", "exp")]
+)
+def test_jet_overflow_exit_three(coord, fn, tmp_path):
+    cfg = tmp_path / "overflow.surface"
+    cfg.write_text(
+        f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    proc = run_module(["curvature", str(cfg), "--grid", "3x3"])
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert f"{fn} overflows the float range" in proc.stderr

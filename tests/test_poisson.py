@@ -309,11 +309,14 @@ def test_de_sitter_delta_is_zero():
 def test_gauss_full_sphere_all_paths():
     spec = CATALOG["sphere"]
     emb = evaluate_embedding(spec.signature, spec.coord_asts, (0.9, 1.3))
+    met = induced_metric(emb)
     for rho in (UNIT, SQRTG):
-        for contraction in ("naive", "reduced"):
-            assert gauss_full(emb, rho, contraction) == pytest.approx(
-                1.0, rel=1e-8
-            ), (rho.kind, contraction)
+        table = build_bracket_table(emb, rho)
+        for contraction, k in (
+            ("naive", poisson._gauss_naive(table, emb, met)),
+            ("reduced", gauss_full(emb, rho)),
+        ):
+            assert k == pytest.approx(1.0, rel=1e-8), (rho.kind, contraction)
 
 
 def test_gauss_full_signed_anchors():
@@ -363,11 +366,11 @@ def test_full_curvature_matches_oracle_at_midpoints():
 def test_contraction_paths_agree_in_curvature():
     for name in ("sphere", "flat-torus-r4", "lorentz-graph-r41", "r5-product"):
         spec, emb, met, table = point_setup(name)
-        k_n = gauss_full_from_table(table, emb, met, "naive")
-        k_r = gauss_full_from_table(table, emb, met, "reduced")
+        k_n = poisson._gauss_naive(table, emb, met)
+        k_r = gauss_full_from_table(table, emb, met)
         assert rel(k_n, k_r) <= 1e-12, name
-        h_n = mean_full_from_table(table, emb, met, "naive")
-        h_r = mean_full_from_table(table, emb, met, "reduced")
+        h_n = poisson._mean_naive(table, emb, met)
+        h_r = mean_full_from_table(table, emb, met)
         assert vec_rel(h_n, h_r) <= 1e-12, name
 
 
@@ -388,10 +391,10 @@ def test_reduced_contraction_matches_naive_on_random_jets(dims, seed, density):
     assume(clear_of_degeneracy(emb))
     met = induced_metric(emb)
     table = build_bracket_table(emb, DensityChoice.from_string(density))
-    k_n = gauss_full_from_table(table, emb, met, "naive")
-    k_r = gauss_full_from_table(table, emb, met, "reduced")
-    h_n = mean_full_from_table(table, emb, met, "naive")
-    h_r = mean_full_from_table(table, emb, met, "reduced")
+    k_n = poisson._gauss_naive(table, emb, met)
+    k_r = gauss_full_from_table(table, emb, met)
+    h_n = poisson._mean_naive(table, emb, met)
+    h_r = mean_full_from_table(table, emb, met)
     assert np.isfinite(k_r) and np.all(np.isfinite(h_r))
     assert rel(k_n, k_r) <= 1e-12, (k_n, k_r)
     assert vec_rel(h_n, h_r) <= 1e-12, (h_n, h_r)
@@ -409,19 +412,18 @@ def test_reduced_contraction_makes_no_symbol_calls(monkeypatch):
     for name in CATALOG:
         spec, emb, met, table = point_setup(name)
         assert math.isfinite(gauss_full_from_table(table, emb, met))
-        assert np.all(np.isfinite(mean_full_from_table(table, emb, met, "reduced")))
+        assert np.all(np.isfinite(mean_full_from_table(table, emb, met)))
     with pytest.raises(AssertionError, match="per-triple"):
-        gauss_full_from_table(table, emb, met, "naive")
+        poisson._gauss_naive(table, emb, met)
 
 
-def test_reduced_contraction_runs_above_cap(monkeypatch):
-    monkeypatch.delenv("PBCURV_MAX_M", raising=False)
+def test_reduced_contraction_runs_above_cap():
     coords = [
         "u", "v", "u*v", "u^2", "v^2", "sin(u)", "cos(v)", "u + v^2",
         "exp(0.3*u*v)", "sin(u + v)", "cos(u - 2*v)", "u^3 - v",
     ]
     m = len(coords)
-    assert m > tensor.max_dimension()
+    assert m > tensor.MAX_M
     sig = AmbientSignature(m, 0)
     emb = evaluate_embedding(sig, [parse_expression(c) for c in coords], (0.4, 0.6))
     met = induced_metric(emb)
@@ -434,15 +436,7 @@ def test_reduced_contraction_runs_above_cap(monkeypatch):
     assert rel(k_full, classical_gauss(met, frame, h)) <= 1e-10
     assert vec_rel(h_full, classical_mean(met, frame, h)) <= 1e-10
     with pytest.raises(DimensionCapError):
-        gauss_full_from_table(table, emb, met, "naive")
-
-
-def test_unknown_contraction_rejected():
-    spec, emb, met, table = point_setup("sphere")
-    with pytest.raises(ValueError, match="contraction"):
-        gauss_full_from_table(table, emb, met, "fast")
-    with pytest.raises(ValueError, match="contraction"):
-        mean_full_from_table(table, emb, met, "fast")
+        poisson._gauss_naive(table, emb, met)
 
 
 def test_rho_independence():

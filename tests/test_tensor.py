@@ -13,7 +13,6 @@ from pbcurv.tensor import (
     eps_contract_reduced,
     eps_symbol,
     eps_table,
-    max_dimension,
 )
 
 
@@ -111,23 +110,10 @@ def test_index_validation():
         eps_symbol((1, 5, 3))
 
 
-def test_dimension_cap(monkeypatch):
-    monkeypatch.delenv("PBCURV_MAX_M", raising=False)
-    assert max_dimension() == tensor.DEFAULT_MAX_M
+def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         ensure_within_cap(9, "test path")
     ensure_within_cap(8, "test path")
-
-    monkeypatch.setenv("PBCURV_MAX_M", "10")
-    assert max_dimension() == 10
-    ensure_within_cap(9, "test path")
-
-    monkeypatch.setenv("PBCURV_MAX_M", "abc")
-    with pytest.raises(DimensionCapError):
-        max_dimension()
-    monkeypatch.setenv("PBCURV_MAX_M", "2")
-    with pytest.raises(DimensionCapError):
-        max_dimension()
 
 
 def test_ambient_signature():

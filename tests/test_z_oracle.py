@@ -45,7 +45,7 @@ from pbcurv.poisson import (
     zmap_invariants,
 )
 from pbcurv.surfaces import CATALOG
-from pbcurv.tensor import AmbientSignature, ensure_within_cap, eps_table, max_dimension
+from pbcurv.tensor import MAX_M, AmbientSignature, ensure_within_cap, eps_table
 
 
 def multi_indices(m: int, length: int):
@@ -147,11 +147,10 @@ def test_sorted_build_matches_ordered_oracle_on_random_jets(dims, seed, density)
     assert_builds_agree(table, emb, met)
 
 
-def test_projector_above_the_cap(monkeypatch):
-    monkeypatch.delenv("PBCURV_MAX_M", raising=False)
+def test_projector_above_the_cap():
     coords = ["u", "v", "u*v", "u^2", "v^2", "sin(u)", "cos(v)", "u + v^2", "exp(0.3*u*v)"]
     sig = AmbientSignature(len(coords), 0)
-    assert sig.m > max_dimension()
+    assert sig.m > MAX_M
     emb = evaluate_embedding(sig, [parse_expression(c) for c in coords], (0.4, 0.6))
     met = induced_metric(emb)
     table = build_bracket_table(emb, DensityChoice.sqrt_abs_g())

@@ -91,33 +91,17 @@ def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     return InducedMetric(gab, det_g, ind_g, ginv)
 
 
-def metric_jets(emb: EmbeddingEval) -> list[list[Jet1]]:
-    """Entries of the induced metric as order-1 jets (for densities)."""
-    gbar = emb.sig.gbar
-    out: list[list[Jet1]] = []
-    for a in range(2):
-        row = []
-        for b in range(2):
-            value = float(np.sum(gbar * emb.e[a] * emb.e[b]))
-            grad = np.array(
-                [
-                    float(
-                        np.sum(
-                            gbar
-                            * (emb.xdd[:, a, c] * emb.e[b] + emb.e[a] * emb.xdd[:, b, c])
-                        )
-                    )
-                    for c in range(2)
-                ]
-            )
-            row.append(Jet1(value, grad))
-        out.append(row)
-    return out
-
-
 def det_g_jet(emb: EmbeddingEval) -> Jet1:
-    gj = metric_jets(emb)
-    return gj[0][0] * gj[1][1] - gj[0][1] * gj[0][1]
+    """det g with its parameter gradient, for the sqrt|det g| density.
+
+    half[a, b, c] = gbar(d_c e_a, e_b), so d_c g_ab = half[a, b, c] + half[b, a, c]
+    and d det g = g00 d g11 + g11 d g00 - 2 g01 d g01.
+    """
+    gbar = emb.sig.gbar
+    (g00, g01), (_, g11) = np.einsum("i,ai,bi->ab", gbar, emb.e, emb.e).tolist()
+    half = np.einsum("i,iac,bi->abc", gbar, emb.xdd, emb.e)
+    dg = half + half.transpose(1, 0, 2)
+    return Jet1(g00 * g11 - g01 * g01, g00 * dg[1, 1] + g11 * dg[0, 0] - 2.0 * g01 * dg[0, 1])
 
 
 @dataclass(eq=False)

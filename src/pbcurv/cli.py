@@ -399,7 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         tol = getattr(args, "tolerance", None)
         if tol is not None and not math.isfinite(tol):
             raise UsageError(f"--tolerance must be finite, got {tol!r}")
-        return args.fn(args)
+        # overflow to inf/nan is reported by the finite checks, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

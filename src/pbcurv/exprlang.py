@@ -28,6 +28,9 @@ from .jets import Jet2
 
 VARIABLES = ("u", "v")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# Deepest AST, and deepest parser recursion, that parse accepts; evaluation
+# recurses once per AST level, so this stays far inside Python's limit.
+MAX_DEPTH = 200
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -137,6 +140,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.end = length
+        self.open = 0  # parse_expr calls in progress: the parser's own recursion
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -155,30 +159,42 @@ class _Parser:
             raise ParseError(f"expected {what}", pos)
         return self.next()
 
-    def parse_expr(self, min_prec: int) -> Ast:
-        lhs = self.parse_prefix()
+    def deeper(self, depth: int, pos: int) -> int:
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression is nested more than {MAX_DEPTH} levels deep", pos)
+        return depth + 1
+
+    def parse_expr(self, min_prec: int) -> tuple[Ast, int]:
+        """The expression and the depth of its AST."""
+        tok = self.peek()
+        self.open = self.deeper(self.open, self.end if tok is None else tok.pos)
+        lhs, depth = self.parse_prefix()
         while True:
             tok = self.peek()
             if tok is None:
-                return lhs
+                break
             prec = _BINARY_PREC.get(tok.text) if tok.kind in (
                 "plus", "minus", "star", "slash", "caret") else None
             if prec is None or prec < min_prec:
-                return lhs
+                break
             self.next()
             if tok.kind == "caret":
-                rhs = self.parse_expr(_POW)  # right associative
-                lhs = PowConst(lhs, _fold_constant(rhs, tok.pos), tok.pos)
+                rhs, _ = self.parse_expr(_POW)  # right associative
+                lhs, rhs_depth = PowConst(lhs, _fold_constant(rhs, tok.pos), tok.pos), 0
             else:
-                rhs = self.parse_expr(prec + 1)
+                rhs, rhs_depth = self.parse_expr(prec + 1)
                 lhs = BinOp(tok.text, lhs, rhs, tok.pos)
+            depth = self.deeper(max(depth, rhs_depth), tok.pos)
+        self.open -= 1
+        return lhs, depth
 
-    def parse_prefix(self) -> Ast:
+    def parse_prefix(self) -> tuple[Ast, int]:
         tok = self.next()
         if tok.kind == "minus":
-            return Neg(self.parse_expr(_UNARY), tok.pos)
+            child, depth = self.parse_expr(_UNARY)
+            return Neg(child, tok.pos), self.deeper(depth, tok.pos)
         if tok.kind == "number":
-            return Constant(float(tok.text), tok.pos)
+            return Constant(float(tok.text), tok.pos), 1
         if tok.kind == "lparen":
             inner = self.parse_expr(0)
             self.expect("rparen", "')'")
@@ -186,17 +202,17 @@ class _Parser:
         if tok.kind == "ident":
             name = tok.text
             if name in VARIABLES:
-                return Variable(name, tok.pos)
+                return Variable(name, tok.pos), 1
             if name in CONSTANTS:
-                return Constant(CONSTANTS[name], tok.pos)
+                return Constant(CONSTANTS[name], tok.pos), 1
             if name in jets.ELEMENTARY:
                 self.expect("lparen", f"'(' after function {name}")
-                arg = self.parse_expr(0)
+                arg, depth = self.parse_expr(0)
                 nxt = self.peek()
                 if nxt is not None and nxt.kind == "comma":
                     raise ParseError(f"{name} takes exactly one argument", nxt.pos)
                 self.expect("rparen", "')'")
-                return Call(name, arg, tok.pos)
+                return Call(name, arg, tok.pos), self.deeper(depth, tok.pos)
             raise ParseError(f"unknown identifier {name!r}", tok.pos)
         raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
 
@@ -227,7 +243,7 @@ def _fold_constant(node: Ast, caret_pos: int) -> float:
 def parse(tokens: list[Token], length: int = 0) -> Ast:
     """Parse a token list produced by tokenize."""
     parser = _Parser(tokens, length)
-    ast = parser.parse_expr(0)
+    ast, _ = parser.parse_expr(0)
     leftover = parser.peek()
     if leftover is not None:
         raise ParseError(f"unexpected token {leftover.text!r}", leftover.pos)

@@ -5,8 +5,7 @@ function of two parameters at one point.  Arithmetic and elementary
 functions propagate that data exactly (Leibniz and chain rules), so no
 finite differencing enters any derivative used downstream.  Jet1 is the
 order-1 truncation; it is what a Poisson bracket of two Jet2 values can
-still support, and the little arithmetic it carries is enough to build
-metric determinants and density gradients.
+still support, and it carries densities with their gradients.
 """
 
 from __future__ import annotations
@@ -40,21 +39,6 @@ class Jet1:
     @staticmethod
     def constant(c: float) -> Jet1:
         return Jet1(float(c), np.zeros(2))
-
-    def __add__(self, other: Jet1) -> Jet1:
-        return Jet1(self.value + other.value, self.grad + other.grad)
-
-    def __sub__(self, other: Jet1) -> Jet1:
-        return Jet1(self.value - other.value, self.grad - other.grad)
-
-    def __mul__(self, other: Jet1) -> Jet1:
-        return Jet1(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-        )
-
-    def __neg__(self) -> Jet1:
-        return Jet1(-self.value, -self.grad)
 
 
 def sqrt_abs1(a: Jet1) -> Jet1:

@@ -103,11 +103,15 @@ def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
 
 # --- Brackets -----------------------------------------------------------
 
+def _density_value(rho: Jet1) -> float:
+    if abs(rho.value) <= DENOM_FLOOR:
+        raise ZeroDensityError(f"density value {float(rho.value)!r} too close to zero")
+    return rho.value
+
+
 def poisson_bracket(f: Jet2, g: Jet2, rho: Jet1) -> Jet1:
     """Bracket of two order-2 jets; the result is an order-1 jet."""
-    rv = rho.value
-    if abs(rv) <= DENOM_FLOOR:
-        raise ZeroDensityError(f"density value {float(rv)!r} too close to zero")
+    rv = _density_value(rho)
     w = f.grad[0] * g.grad[1] - f.grad[1] * g.grad[0]
     dw = np.array(
         [
@@ -125,8 +129,10 @@ def poisson_bracket(f: Jet2, g: Jet2, rho: Jet1) -> Jet1:
 class BracketTable:
     """All coordinate brackets at one point.
 
-    P[i, j] = {x^i, x^j} (exactly antisymmetric) with parameter gradient
-    Pgrad[i, j] and density jet rho; T caches nested_bracket_tensor.
+    P[i, j] = {x^i, x^j} = (e_u ^ e_v)[i, j] / rho, with parameter gradient
+    Pgrad[i, j, a] and density jet rho; T caches nested_bracket_tensor.
+    P and Pgrad are exactly antisymmetric in (i, j): each is a difference
+    of an array and its transpose, and fl(a - b) = -fl(b - a).
     """
 
     P: np.ndarray
@@ -136,18 +142,22 @@ class BracketTable:
 
 
 def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
+    """Every bracket {x^i, x^j} at once, as an antisymmetrised outer product.
+
+    With A = e_u (x) e_v and B[i, j, a] = d_a e_u^i e_v^j + e_u^i d_a e_v^j,
+    w = A - A^T and dw = B - B^T are the bracket numerators and their
+    gradients; P = w / rho and Pgrad = dw / rho - w d(rho) / rho^2, the
+    expression poisson_bracket evaluates for one pair.
+    """
     rho = density_jet(rho_choice, emb)
-    m = emb.sig.m
-    P = np.zeros((m, m))
-    Pgrad = np.zeros((m, m, 2))
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = poisson_bracket(emb.x[i], emb.x[j], rho)
-            P[i, j] = br.value
-            P[j, i] = -br.value
-            Pgrad[i, j] = br.grad
-            Pgrad[j, i] = -br.grad
-    return BracketTable(P, Pgrad, rho)
+    rv = _density_value(rho)
+    eu, ev = emb.e
+    xdd = emb.xdd
+    A = np.multiply.outer(eu, ev)
+    B = xdd[:, None, 0, :] * ev[None, :, None] + eu[:, None, None] * xdd[None, :, 1, :]
+    w = A - A.T
+    dw = B - B.transpose(1, 0, 2)
+    return BracketTable(w / rv, dw / rv - w[:, :, None] * rho.grad / (rv * rv), rho)
 
 
 def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
@@ -433,7 +443,7 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 # eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl} to whole tensors.  The
 # six signed pairings of the generalized delta collapse to two sums after
 # relabelling, because T, G and P are exactly antisymmetric in their last
-# two slots (build_bracket_table writes P[j, i] = -P[i, j]).  The tests
+# two slots (see BracketTable).  The tests
 # compare them against the oracles _gauss_naive and _mean_naive, which
 # tabulate the symbol contraction by brute force, one eps_contract_naive
 # call per pair of index triples.

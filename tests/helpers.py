@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from pbcurv.classical import EmbeddingEval, _NullPivot, evaluate_embedding, induced_metric
-from pbcurv.jets import Jet2
+from pbcurv.jets import Jet1, Jet2
 from pbcurv.poisson import DensityChoice, build_bracket_table
 from pbcurv.surfaces import CATALOG, SurfaceSpec, grid_points
 from pbcurv.tensor import AmbientSignature
@@ -61,6 +61,30 @@ def clear_of_degeneracy(emb: EmbeddingEval) -> bool:
     gab = np.einsum("i,ai,bi->ab", emb.sig.gbar, emb.e, emb.e)
     det = gab[0, 0] * gab[1, 1] - gab[0, 1] ** 2
     return abs(det) >= 0.05 * max(1.0, float(np.abs(gab).max())) ** 2
+
+
+def metric_jets(emb: EmbeddingEval) -> list[list[Jet1]]:
+    """Oracle for pbcurv.classical.det_g_jet: each g_ab as an order-1 jet, one loop per entry."""
+    gbar = emb.sig.gbar
+    out: list[list[Jet1]] = []
+    for a in range(2):
+        row = []
+        for b in range(2):
+            value = float(np.sum(gbar * emb.e[a] * emb.e[b]))
+            grad = np.array(
+                [
+                    float(
+                        np.sum(
+                            gbar
+                            * (emb.xdd[:, a, c] * emb.e[b] + emb.e[a] * emb.xdd[:, b, c])
+                        )
+                    )
+                    for c in range(2)
+                ]
+            )
+            row.append(Jet1(value, grad))
+        out.append(row)
+    return out
 
 
 def looped_orthonormalize(

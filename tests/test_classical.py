@@ -15,7 +15,6 @@ from pbcurv.classical import (
     det_g_jet,
     evaluate_embedding,
     induced_metric,
-    metric_jets,
     normal_projector,
     pivoted_orthonormalize,
     second_fundamental,
@@ -30,6 +29,7 @@ from helpers import (
     clear_of_degeneracy,
     interior_points,
     looped_orthonormalize,
+    metric_jets,
     midpoint,
     random_embedding,
 )

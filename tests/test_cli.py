@@ -15,6 +15,7 @@ from pbcurv import cli, poisson
 from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
 from pbcurv.errors import ConfigError, DegenerateMetricError
+from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
 
@@ -531,3 +532,35 @@ def test_jet_overflow_exit_three(coord, fn, tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert f"{fn} overflows the float range" in proc.stderr
+
+
+@pytest.mark.parametrize("coord", ["1e400*u", "1/(u^-300)^2"])
+def test_jet_overflow_prints_no_numpy_warning(coord, tmp_path):
+    cfg = tmp_path / "overflow.surface"
+    cfg.write_text(
+        f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    proc = run_module(["curvature", str(cfg), "--grid", "3x3"])
+    assert proc.returncode == 3
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("geometric error:")
+
+
+@pytest.mark.parametrize(
+    "coord",
+    [
+        "+".join(["u"] * 5000),
+        "(" * 3000 + "u" + ")" * 3000,
+        "sin(" * 2000 + "u" + ")" * 2000,
+    ],
+    ids=["long-sum", "nested-parens", "nested-calls"],
+)
+def test_deep_expression_exit_two_names_the_limit(coord, tmp_path):
+    cfg = tmp_path / "deep.surface"
+    cfg.write_text(
+        f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    proc = run_module(["curvature", str(cfg), "--grid", "3x3"])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"nested more than {MAX_DEPTH} levels deep" in proc.stderr

@@ -5,6 +5,7 @@ import pytest
 
 from pbcurv.errors import EvalError, LexError, ParseError
 from pbcurv.exprlang import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Constant,
@@ -85,6 +86,23 @@ def test_unknown_identifier_rejected_at_parse():
     assert err.value.position == 0
     with pytest.raises(ParseError):
         parse_expression("u + sinc(v)")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: "+".join(["u"] * n),
+        lambda n: "(" * (n - 1) + "u" + ")" * (n - 1),
+        lambda n: "sin(" * (n - 1) + "u" + ")" * (n - 1),
+        lambda n: "-" * (n - 1) + "u",
+    ],
+    ids=["sum", "parens", "calls", "negations"],
+)
+def test_depth_limit_is_exact(make):
+    # MAX_DEPTH levels parse and evaluate; one more is a ParseError naming the limit
+    assert eval_jet(parse_expression(make(MAX_DEPTH)), (0.3, 0.4)).value != 0.0
+    with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels"):
+        parse_expression(make(MAX_DEPTH + 1))
 
 
 def test_parse_error_positions_in_range():

@@ -209,20 +209,6 @@ def test_finite_difference_agreement():
         assert j.hess[0][1] == pytest.approx(fd_uv, rel=1e-4, abs=1e-4)
 
 
-def test_jet1_arithmetic():
-    a = Jet1(2.0, np.array([1.0, -1.0]))
-    b = Jet1(3.0, np.array([0.5, 2.0]))
-    s = a + b
-    assert s.value == 5.0 and np.array_equal(s.grad, [1.5, 1.0])
-    p = a * b
-    assert p.value == 6.0
-    assert np.allclose(p.grad, [2.0 * 0.5 + 3.0 * 1.0, 2.0 * 2.0 + 3.0 * (-1.0)])
-    n = -a
-    assert n.value == -2.0 and np.array_equal(n.grad, [-1.0, 1.0])
-    d = a - b
-    assert d.value == -1.0 and np.array_equal(d.grad, [0.5, -3.0])
-
-
 def test_sqrt_abs_jet1():
     a = Jet1(4.0, np.array([2.0, 0.0]))
     r = sqrt_abs1(a)

@@ -47,6 +47,7 @@ from pbcurv.tensor import AmbientSignature
 
 from helpers import (
     clear_of_degeneracy,
+    metric_jets,
     midpoint,
     point_setup,
     random_embedding,
@@ -159,6 +160,69 @@ def test_bracket_table_matches_raw_jets():
                     table.Pgrad[i, j], direct.grad, rtol=1e-13, atol=1e-13
                 )
         assert np.array_equal(table.P, -table.P.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from(["unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)"]),
+)
+def test_bracket_table_matches_scalar_bracket_on_random_jets(dims, seed, density):
+    emb = random_embedding(*dims, seed)
+    table = build_bracket_table(emb, DensityChoice.from_string(density))
+    P, Pgrad, rho = table.P, table.Pgrad, table.rho
+    # exact: each is an array minus its transpose
+    assert np.array_equal(P, -P.T)
+    assert np.array_equal(Pgrad, -Pgrad.transpose(1, 0, 2))
+    # term sizes: the same products as the bracket, in absolute value
+    eu, ev = np.abs(emb.e)
+    axx = np.abs(emb.xdd)
+    rv = abs(rho.value)
+    wabs = np.outer(eu, ev) + np.outer(ev, eu)
+    half = axx[:, None, 0, :] * ev[None, :, None] + eu[:, None, None] * axx[None, :, 1, :]
+    p_size = wabs / rv
+    grad_size = (half + half.transpose(1, 0, 2)) / rv + wabs[:, :, None] * np.abs(rho.grad) / rv**2
+    m = emb.sig.m
+    for i in range(m):
+        for j in range(m):
+            direct = poisson_bracket(emb.x[i], emb.x[j], rho)
+            assert abs(P[i, j] - direct.value) <= 1e-13 * p_size[i, j], (i, j)
+            assert np.all(np.abs(Pgrad[i, j] - direct.grad) <= 1e-13 * grad_size[i, j]), (i, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_det_g_jet_matches_metric_jets_oracle_on_random_jets(dims, seed):
+    emb = random_embedding(*dims, seed)
+    (g00, g01), (_, g11) = metric_jets(emb)  # product rule on the oracle's entries
+    oracle_value = g00.value * g11.value - g01.value * g01.value
+    oracle_grad = g00.value * g11.grad + g11.value * g00.grad - 2.0 * g01.value * g01.grad
+    dj = det_g_jet(emb)
+    # term sizes: the same sums and products in absolute value
+    ae, axx = np.abs(emb.e), np.abs(emb.xdd)
+    gabs = ae @ ae.T
+    half = np.einsum("iac,bi->abc", axx, ae)
+    dgabs = half + half.transpose(1, 0, 2)
+    value_size = gabs[0, 0] * gabs[1, 1] + gabs[0, 1] ** 2
+    grad_size = gabs[0, 0] * dgabs[1, 1] + gabs[1, 1] * dgabs[0, 0] + 2.0 * gabs[0, 1] * dgabs[0, 1]
+    assert abs(dj.value - oracle_value) <= 1e-13 * value_size
+    assert np.all(np.abs(dj.grad - oracle_grad) <= 1e-13 * grad_size)
+
+
+def test_bracket_table_makes_no_bracket_calls(monkeypatch):
+    def boom(*args):
+        raise AssertionError("per-pair bracket called")
+
+    monkeypatch.setattr(poisson, "poisson_bracket", boom)
+    for name in CATALOG:
+        for rho in ("unit", "sqrt_abs_g", "expr:1 + 0.3*sin(u)"):
+            spec, emb, met, table = point_setup(name, rho=rho)
+            assert np.isfinite(table.P).all() and np.isfinite(table.Pgrad).all()
+            assert np.abs(table.P).max() > 0.0
 
 
 def test_nested_bracket_tensor_antisymmetry():

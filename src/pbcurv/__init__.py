@@ -26,6 +26,7 @@ from .poisson import (
     mean_via_frame,
     normal_frame_from_z,
     poisson_bracket,
+    weingarten_frame,
     zmap_invariants,
 )
 from .surfaces import CATALOG, SurfaceSpec, load_spec
@@ -65,6 +66,7 @@ __all__ = [
     "parse_expression",
     "poisson_bracket",
     "second_fundamental",
+    "weingarten_frame",
     "zmap_invariants",
     "__version__",
 ]

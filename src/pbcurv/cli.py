@@ -7,7 +7,6 @@ configuration error, 3 geometric error at a sample point.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -31,7 +30,6 @@ from .poisson import (
     build_bracket_table,
     build_z,
     double_trace_check,
-    frame_with_derivatives,
     gauss_full_from_table,
     gauss_via_frame,
     mean_full_from_table,
@@ -40,6 +38,7 @@ from .poisson import (
     ps_traces,
     s_operator,
     s2_traces,
+    weingarten_frame,
     zmap_invariants,
 )
 from .exprlang import parse_expression
@@ -118,17 +117,11 @@ def _tables(spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float]):
     return emb, met, build_bracket_table(emb, rho)
 
 
-def _classical_frame(spec: SurfaceSpec, at: tuple[float, float]) -> NormalFrame:
-    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
-    return classical_normal_frame(emb, induced_metric(emb))
-
-
-def _frame(spec: SurfaceSpec, emb, met, at: tuple[float, float]):
-    """Classical frame with FD derivatives, and its second fundamental forms."""
-    build = functools.partial(_classical_frame, spec)
-    ff = frame_with_derivatives(build, at, spec.signature, center=classical_normal_frame(emb, met))
-    frame = NormalFrame(ff.vectors, ff.sigma)
-    return ff, frame, second_fundamental(emb, frame)
+def _frame(emb, met):
+    """Classical frame with its Weingarten derivatives, and its second fundamental forms."""
+    frame = classical_normal_frame(emb, met)
+    h = second_fundamental(emb, frame)
+    return weingarten_frame(emb, met, frame, h), frame, h
 
 
 def _kh(table, emb, met):
@@ -196,7 +189,7 @@ def _curvature_record(
         record[f"H_full_{i}"] = float(value)
     if not compare:
         return record
-    ff, frame, h = _frame(spec, emb, met, at)
+    ff, frame, h = _frame(emb, met)
     record["K_frame"] = gauss_via_frame(table, emb, met, ff)
     record["K_oracle"] = classical_gauss(met, frame, h)
     for i, value in enumerate(classical_mean(met, frame, h), start=1):
@@ -267,8 +260,7 @@ def cmd_curvature(args) -> int:
             k_res = _rel(rec["K_full"] - rec["K_oracle"], rec["K_oracle"])
             h_full = np.array([rec[f"H_full_{i}"] for i in range(1, spec.m + 1)])
             h_oracle = np.array([rec[f"H_oracle_{i}"] for i in range(1, spec.m + 1)])
-            # finite identity residuals are reported, not gated: the FD frame
-            # stencil alone puts res_satrace near 1e-6 on wiggly surfaces
+            # finite identity residuals are reported, not gated
             finite = all(math.isfinite(rec[col]) for col in _RESIDUAL_COLUMNS)
             if not (_worst((k_res, _vec_rel(h_full, h_oracle))) <= tol and finite):
                 print(
@@ -303,7 +295,7 @@ def cmd_invariants(args) -> int:
         at = (u, v)
         try:
             emb, met, table = _tables(spec, rho, at)
-            ff, frame, h = _frame(spec, emb, met, at)
+            ff, frame, h = _frame(emb, met)
             out = _identity_residuals(table, emb, met, ff, h)
             out["double_trace"] = _worst(
                 double_trace_check(table, emb, ff, 0, codim - 1, fa, ha)
@@ -399,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         tol = getattr(args, "tolerance", None)
         if tol is not None and not math.isfinite(tol):
             raise UsageError(f"--tolerance must be finite, got {tol!r}")
+        if tol is not None and tol < 0.0:
+            raise UsageError(f"--tolerance must be non-negative, got {tol!r}")
         # overflow to inf/nan is reported by the finite checks, not as numpy warnings
         with np.errstate(all="ignore"):
             return args.fn(args)

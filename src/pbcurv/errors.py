@@ -22,10 +22,10 @@ class GeometricError(PbcurvError):
 
 
 class JetDomainError(GeometricError):
-    """An elementary function was evaluated outside its real domain."""
+    """A jet operation left its real domain, or a derivative of its result overflowed."""
 
-    def __init__(self, fn: str, value: float) -> None:
-        super().__init__(f"{fn} is undefined at value {value!r}")
+    def __init__(self, fn: str, value: float, problem: str = "is undefined") -> None:
+        super().__init__(f"{fn} {problem} at value {value!r}")
         self.fn = fn
         self.value = value
 

@@ -21,12 +21,12 @@ from .errors import JetDivisionByZero, JetDomainError
 DENOM_FLOOR = 1e-300
 
 
-def _check_finite(op: str, value: float, *arrays: np.ndarray) -> None:
+def _check_finite(op: str, value: float, grad: np.ndarray, hess: np.ndarray) -> None:
     if not math.isfinite(value):
         raise JetDomainError(op, value)
-    for arr in arrays:
+    for part, arr in (("gradient", grad), ("Hessian", hess)):
         if not np.isfinite(arr).all():
-            raise JetDomainError(op, value)
+            raise JetDomainError(op, value, f"overflows in its {part}")
 
 
 @dataclass(eq=False)

@@ -180,16 +180,30 @@ def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
 
 @dataclass(eq=False)
 class FrameField:
-    """A pointwise normal frame plus finite-difference derivatives.
+    """A pointwise normal frame plus the tangential part of its derivatives.
 
-    vectors[A, i] and sigma match NormalFrame; grads[A, i, a] holds
-    d_a N_A^i from central differences in the projector-transport
-    gauge of frame_with_derivatives.
+    vectors[A, i] and sigma match NormalFrame; grads[A, i, a] holds only
+    the tangential part of d_a N_A^i.  Every consumer pairs grads with a
+    tangent vector, so the normal part (the normal connection) never
+    enters, and weingarten_frame does not compute it.
     """
 
     vectors: np.ndarray
     grads: np.ndarray
     sigma: np.ndarray
+
+
+def weingarten_frame(
+    emb: EmbeddingEval, met: InducedMetric, frame: NormalFrame, h: np.ndarray
+) -> FrameField:
+    """Exact frame derivatives from the Weingarten equation.
+
+    gbar(N_A, e_b) = 0 gives gbar(d_a N_A, e_b) = -h_{A,ab}, so the
+    tangential part of d_a N_A is -h_{A,ab} g^{bc} e_c; h is
+    second_fundamental(emb, frame).
+    """
+    grads = -np.einsum("Aab,bc,ci->Aia", h, met.ginv, emb.e)
+    return FrameField(frame.vectors, grads, frame.sigma)
 
 
 def _transported(center: NormalFrame, target: NormalFrame, gbar: np.ndarray, at) -> np.ndarray:
@@ -222,8 +236,12 @@ def frame_with_derivatives(
     build, at: tuple[float, float], sig: AmbientSignature, step: float = FRAME_STEP,
     center: NormalFrame | None = None,
 ) -> FrameField:
-    """Differentiate a pointwise frame constructor by central differences.
+    """Finite-difference oracle for the Weingarten equation (weingarten_frame).
 
+    Differentiates a pointwise frame constructor by central differences;
+    unlike weingarten_frame, the result carries the normal part of the
+    derivatives too.  No production path calls it: it stays here because
+    the benchmark probe looks it up by name, and it belongs in the tests.
     build maps a parameter point to a NormalFrame; center, when given, is
     build(at) already at hand.  Frames at the stencil points are replaced
     by projector transports of the center frame (see _transported), then

@@ -14,7 +14,6 @@ import numpy as np
 from helpers import midpoint, rel, vec_rel
 from pbcurv import tensor
 from pbcurv.classical import (
-    NormalFrame,
     classical_gauss,
     classical_mean,
     classical_normal_frame,
@@ -31,7 +30,6 @@ from pbcurv.poisson import (
     build_bracket_table,
     build_z,
     double_trace_check,
-    frame_with_derivatives,
     gauss_full_from_table,
     mean_full_from_table,
     normal_frame_from_z,
@@ -39,6 +37,7 @@ from pbcurv.poisson import (
     ps_traces,
     s_operator,
     s2_traces,
+    weingarten_frame,
     zmap_invariants,
 )
 from pbcurv.surfaces import CATALOG, grid_points, load_spec
@@ -137,11 +136,6 @@ def test_trace_and_projector_identities_hold():
     n_points = 0
     for spec in _specs():
         sig = spec.signature
-
-        def frame_at(at, sig=sig, spec=spec):
-            emb = evaluate_embedding(sig, spec.coord_asts, at)
-            return classical_normal_frame(emb, induced_metric(emb))
-
         for at in _points(spec, (6, 6)):
             emb, met, table = _setup(spec, at)
             rv = table.rho.value
@@ -149,9 +143,9 @@ def test_trace_and_projector_identities_hold():
             worst["P2"] = max(
                 worst["P2"], rel(p2_trace(table, sig), -2.0 * met.det_g / rv**2)
             )
-            ff = frame_with_derivatives(frame_at, at, sig)
-            frame = NormalFrame(ff.vectors, ff.sigma)
+            frame = classical_normal_frame(emb, met)
             h2 = second_fundamental(emb, frame)
+            ff = weingarten_frame(emb, met, frame, h2)
             dets = h2[:, 0, 0] * h2[:, 1, 1] - h2[:, 0, 1] * h2[:, 1, 0]
             s_op = s_operator(table, emb, ff)
             s2 = s2_traces(sig, s_op)

@@ -213,8 +213,45 @@ def test_invariants_reuses_the_run_table(capsys, monkeypatch):
 def test_centre_point_evaluated_once(args, capsys, monkeypatch):
     evaluations = _count_calls(monkeypatch, cli, "evaluate_embedding")
     assert run_cli(args + ["--grid", "3x3"], capsys)[0] == 0
-    # one interior point: the centre plus the 8 points of the FD frame stencil
-    assert len(evaluations) == 9
+    # one interior point: the frame derivatives come from its own jets
+    assert len(evaluations) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_compare_k_frame_matches_oracle_on_catalog(name, capsys):
+    code, out, _ = run_cli(["curvature", name, "--grid", "6x6", "--compare"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 16
+    for row in rows:
+        scale = max(1.0, abs(row["K_oracle"]))
+        assert abs(row["K_frame"] - row["K_oracle"]) <= 1e-13 * scale, (row["u"], row["v"])
+
+
+M8_COORDS = [
+    "sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)", "0.3*sin(u + 0.3*v) + 0.1*u*v",
+    "0.2*cos(2*u - v)", "0.25*sin(3*v + 0.5*u)", "0.15*u^2 - 0.1*v", "0.1*sin(4*u + 1.2*v)",
+]
+
+
+@pytest.mark.parametrize(
+    ("m", "nu", "coords", "domain", "grid"),
+    [
+        (3, 0, ["u", "v", "0.05*sin(20*u)*cos(20*v)"], [-0.8, 0.8, -0.8, 0.8], "6x6"),
+        (3, 0, ["u", "v", "0.05*sin(40*u)*cos(40*v)"], [-0.8, 0.8, -0.8, 0.8], "6x6"),
+        (8, 1, M8_COORDS, [0.4, 2.6, 0.2, 6.0], "4x4"),
+    ],
+    ids=["wiggle-20", "wiggle-40", "m8-nu1"],
+)
+def test_invariants_pass_on_surfaces_the_fd_stencil_failed(
+    m, nu, coords, domain, grid, tmp_path, capsys
+):
+    # a finite-difference frame stencil put s2_trace and ps_trace at 2e-8 to 3e-6 here
+    cfg = tmp_path / "smooth.surface"
+    cfg.write_text(f"m = {m}\nnu = {nu}\ncoords = {json.dumps(coords)}\ndomain = {domain}\n")
+    code, out, _ = run_cli(["invariants", str(cfg), "--grid", grid], capsys)
+    assert code == 0, out
+    assert "FAIL" not in out
 
 
 def test_curvature_csv_json_same_numbers(capsys):
@@ -403,7 +440,7 @@ def test_invariants_reports_sign_bookkeeping(capsys):
 
 def test_invariants_impossible_tolerance_fails(capsys):
     code, out, _ = run_cli(
-        ["invariants", "sphere", "--grid", "3x3", "--tolerance=-1"], capsys
+        ["invariants", "torus", "--grid", "4x4", "--tolerance=0"], capsys
     )
     assert code == 1
     assert "FAIL" in out
@@ -442,12 +479,22 @@ def test_compare_fails_closed_on_nan_residual(capsys, monkeypatch):
     assert abs(row["K_full"] - row["K_oracle"]) <= 1e-8 * max(1.0, abs(row["K_oracle"]))
 
 
-def test_compare_negative_tolerance_fails(capsys):
-    code, _, err = run_cli(
+def test_compare_negative_tolerance_is_usage_error(capsys):
+    code, out, err = run_cli(
         ["curvature", "sphere", "--grid", "3x3", "--compare", "--tolerance=-1"], capsys
     )
-    assert code == 1
-    assert "comparison failure" in err
+    assert code == 2
+    assert out == ""
+    assert "--tolerance must be non-negative, got -1.0" in err
+
+
+def test_invariants_negative_tolerance_is_usage_error(capsys):
+    code, out, err = run_cli(
+        ["invariants", "sphere", "--grid", "3x3", "--tolerance=-1e-12"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--tolerance must be non-negative, got -1e-12" in err
 
 
 def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
@@ -544,6 +591,19 @@ def test_jet_overflow_prints_no_numpy_warning(coord, tmp_path):
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert line.startswith("geometric error:")
+
+
+def test_jet_derivative_overflow_names_the_derivative(tmp_path, capsys):
+    # the value 1.65e-156 is finite; the Hessian of the product is not
+    cfg = tmp_path / "overflow.surface"
+    cfg.write_text(
+        'm = 3\nnu = 0\ncoords = ["u", "v", "1/(u^-300)^2"]\ndomain = [0.1, 1, 0.1, 1]\n'
+    )
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "mul overflows in its Hessian at value 1.6504930371952425e-156" in err
+    assert "undefined" not in err
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,20 @@ def test_sqrt_abs_jet1():
         sqrt_abs1(Jet1(0.0, np.zeros(2)))
 
 
+def test_derivative_overflow_names_the_derivative():
+    huge = Jet2(1.0, np.array([1e308, 0.0]), np.zeros((2, 2)))
+    with np.errstate(over="ignore"), pytest.raises(JetDomainError) as exc:
+        huge * Jet2(2.0, np.array([1e308, 0.0]), np.zeros((2, 2)))
+    assert str(exc.value) == "mul overflows in its gradient at value 2.0"
+    big = Jet2(1.0, np.array([1e200, 0.0]), np.zeros((2, 2)))
+    with np.errstate(over="ignore"), pytest.raises(JetDomainError) as exc:
+        big * big
+    assert str(exc.value) == "mul overflows in its Hessian at value 1.0"
+    with np.errstate(over="ignore"), pytest.raises(JetDomainError) as exc:
+        jets.exp(Jet2(1.0, np.array([1e300, 0.0]), np.zeros((2, 2))))
+    assert str(exc.value) == f"exp overflows in its Hessian at value {math.e!r}"
+
+
 def test_lower_truncates():
     u, v = uv((1.0, 2.0))
     j = (u * v).lower()

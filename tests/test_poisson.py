@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pbcurv import poisson, tensor
 from pbcurv.classical import (
-    NormalFrame,
     classical_gauss,
     classical_mean,
     classical_normal_frame,
@@ -17,7 +16,12 @@ from pbcurv.classical import (
     normal_projector,
     second_fundamental,
 )
-from pbcurv.errors import DimensionCapError, UsageError, ZeroDensityError
+from pbcurv.errors import (
+    DimensionCapError,
+    FrameConstructionError,
+    UsageError,
+    ZeroDensityError,
+)
 from pbcurv.exprlang import eval_jet, parse_expression
 from pbcurv.jets import Jet1, Jet2
 from pbcurv.poisson import (
@@ -40,6 +44,7 @@ from pbcurv.poisson import (
     ps_traces,
     s_operator,
     s2_traces,
+    weingarten_frame,
     zmap_invariants,
 )
 from pbcurv.surfaces import CATALOG
@@ -47,6 +52,7 @@ from pbcurv.tensor import AmbientSignature
 
 from helpers import (
     clear_of_degeneracy,
+    interior_points,
     metric_jets,
     midpoint,
     point_setup,
@@ -260,26 +266,92 @@ def _classical_builder(spec):
     return build
 
 
+def _z_builder(spec):
+    def build(at):
+        emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+        met = induced_metric(emb)
+        table = build_bracket_table(emb, SQRTG)
+        return normal_frame_from_z(build_z(table, emb, met), spec.signature)
+
+    return build
+
+
+def _weingarten(emb, met, frame=None):
+    """The Weingarten frame field of a frame (default: the classical one)."""
+    frame = classical_normal_frame(emb, met) if frame is None else frame
+    return weingarten_frame(emb, met, frame, second_fundamental(emb, frame))
+
+
+def _tangential(emb, met, vectors):
+    """Tangential part gbar(w, e_b) g^{bc} e_c of each vector w[..., i]."""
+    dots = np.einsum("i,...i,bi->...b", emb.sig.gbar, vectors, emb.e)
+    return np.einsum("...b,bc,ci->...i", dots, met.ginv, emb.e)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_fd_oracle_tangential_part_matches_weingarten_frame(name):
+    # the stencil's own accuracy: fourth order in FRAME_STEP = 1e-3
+    spec = CATALOG[name]
+    points = interior_points(spec, (4, 4))
+    for at in points:
+        emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+        met = induced_metric(emb)
+        builders = [(_classical_builder(spec), None)]
+        if at == points[0]:  # the Z frame too, once per surface
+            builders.append((_z_builder(spec), _z_builder(spec)(at)))
+        for build, frame in builders:
+            fd = frame_with_derivatives(build, at, spec.signature)
+            exact = _weingarten(emb, met, frame)
+            assert np.array_equal(exact.vectors, fd.vectors), name
+            got = _tangential(emb, met, np.moveaxis(fd.grads, 2, 1))
+            want = np.moveaxis(exact.grads, 2, 1)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(got - want).max()) <= 1e-6 * scale, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weingarten_frame_pairs_to_minus_h(dims, seed):
+    emb = random_embedding(*dims, seed)
+    assume(clear_of_degeneracy(emb))
+    met = induced_metric(emb)
+    try:
+        frame = classical_normal_frame(emb, met)
+    except FrameConstructionError:
+        assume(False)
+    h = second_fundamental(emb, frame)
+    ff = weingarten_frame(emb, met, frame, h)
+    assert ff.vectors is frame.vectors and ff.sigma is frame.sigma
+    gbar = emb.sig.gbar
+    # gbar(d_a N_A, e_b) = -h_{A,ab}; size = sum of |terms| of h g^{-1} gbar(e, e)
+    lhs = np.einsum("i,Aia,bi->Aab", gbar, ff.grads, emb.e)
+    ae = np.abs(emb.e)
+    size = np.einsum("Aac,cd,di,bi->Aab", np.abs(h), np.abs(met.ginv), ae, ae)
+    assert np.all(np.abs(lhs + h) <= 1e-12 * size)
+
+
 def test_s_operator_trace_identities():
     for name in CATALOG:
         spec, emb, met, table = point_setup(name)
-        at = emb.at
-        ff = frame_with_derivatives(_classical_builder(spec), at, spec.signature)
-        frame = NormalFrame(ff.vectors, ff.sigma)
+        frame = classical_normal_frame(emb, met)
         h = second_fundamental(emb, frame)
+        ff = weingarten_frame(emb, met, frame, h)
         rv = table.rho.value
         S = s_operator(table, emb, ff)
         s2 = s2_traces(spec.signature, S)
         dets = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
         for A in range(spec.signature.codim):
             assert s2[A] == pytest.approx(
-                -2.0 * dets[A] / (rv * rv), rel=1e-6, abs=1e-6
+                -2.0 * dets[A] / (rv * rv), rel=1e-12, abs=1e-12
             ), (name, A)
         ps = ps_traces(table, spec.signature, S)
         weingarten = np.einsum("ab,Aab->A", met.ginv, h)
         for A in range(spec.signature.codim):
             assert ps[A] == pytest.approx(
-                met.det_g * weingarten[A] / (rv * rv), rel=1e-6, abs=1e-6
+                met.det_g * weingarten[A] / (rv * rv), rel=1e-12, abs=1e-12
             ), (name, A)
 
 
@@ -527,39 +599,34 @@ def test_frame_paths_match_full_formulas():
         k_full = gauss_full_from_table(table, emb, met)
         h_full = mean_full_from_table(table, emb, met)
 
-        ff = frame_with_derivatives(_classical_builder(spec), at, spec.signature)
-        assert rel(gauss_via_frame(table, emb, met, ff), k_full) <= 1e-6, name
-        assert vec_rel(mean_via_frame(table, emb, met, ff), h_full) <= 1e-6, name
+        ff = _weingarten(emb, met)
+        assert rel(gauss_via_frame(table, emb, met, ff), k_full) <= 1e-12, name
+        assert vec_rel(mean_via_frame(table, emb, met, ff), h_full) <= 1e-12, name
 
-        def z_builder(pt):
-            e = evaluate_embedding(spec.signature, spec.coord_asts, pt)
-            mt = induced_metric(e)
-            t = build_bracket_table(e, SQRTG)
-            return normal_frame_from_z(build_z(t, e, mt), spec.signature)
-
-        ffz = frame_with_derivatives(z_builder, at, spec.signature)
-        assert rel(gauss_via_frame(table, emb, met, ffz), k_full) <= 1e-6, name
-        assert vec_rel(mean_via_frame(table, emb, met, ffz), h_full) <= 1e-6, name
+        zframe = normal_frame_from_z(build_z(table, emb, met), spec.signature)
+        ffz = _weingarten(emb, met, zframe)
+        assert rel(gauss_via_frame(table, emb, met, ffz), k_full) <= 1e-12, name
+        assert vec_rel(mean_via_frame(table, emb, met, ffz), h_full) <= 1e-12, name
 
 
 def test_double_trace_scaling():
     one = parse_expression("1")
     spec, emb, met, table = point_setup("sphere")
-    ff = frame_with_derivatives(_classical_builder(spec), emb.at, spec.signature)
+    ff = _weingarten(emb, met)
     assert double_trace_check(table, emb, ff, 0, 0, one, one) == 0.0
     fa = parse_expression("u")
     ha = parse_expression("sin(v) + 2")
     assert double_trace_check(table, emb, ff, 0, 0, fa, ha) <= 1e-9
 
     spec, emb, met, table = point_setup("torus", (1.1, 0.7))
-    ff = frame_with_derivatives(_classical_builder(spec), emb.at, spec.signature)
+    ff = _weingarten(emb, met)
     assert double_trace_check(
         table, emb, ff, 0, 0, parse_expression("exp(u)"), one
     ) <= 1e-9
 
     # two distinct normals on a codimension-2 surface
     spec, emb, met, table = point_setup("flat-torus-r4")
-    ff = frame_with_derivatives(_classical_builder(spec), emb.at, spec.signature)
+    ff = _weingarten(emb, met)
     assert double_trace_check(
         table, emb, ff, 0, 1, parse_expression("exp(u)"), parse_expression("cosh(v)")
     ) <= 1e-9

@@ -73,14 +73,10 @@ def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     (g00, g01), (g10, g11) = gab.tolist()
     det_g = g00 * g11 - g01 * g10  # Python floats: no numpy warning on overflow
     if not (np.isfinite(gab).all() and np.isfinite(det_g)):
-        raise DegenerateMetricError(
-            f"induced metric is not finite at (u, v) = {emb.at}: det g = {det_g!r}"
-        )
+        raise DegenerateMetricError(f"induced metric is not finite: det g = {det_g!r}")
     scale = max(float(np.abs(gab).max()), 1.0)
     if abs(det_g) < DEGENERACY_TOL * scale * scale:
-        raise DegenerateMetricError(
-            f"induced metric is singular at (u, v) = {emb.at}: det g = {det_g!r}"
-        )
+        raise DegenerateMetricError(f"induced metric is singular: det g = {det_g!r}")
     ginv = (
         np.array([[gab[1, 1], -gab[0, 1]], [-gab[1, 0], gab[0, 0]]]) / det_g
     )
@@ -200,13 +196,11 @@ def classical_normal_frame(
         )
     except _NullPivot as exc:
         raise FrameConstructionError(
-            f"only null normal candidates remain after {exc.args[0]} vectors "
-            f"at (u, v) = {emb.at}"
+            f"only null normal candidates remain after {exc.args[0]} vectors"
         ) from exc
     if vectors.shape[0] != p:
         raise FrameConstructionError(
-            f"found {vectors.shape[0]} independent normals, expected {p} "
-            f"at (u, v) = {emb.at}"
+            f"found {vectors.shape[0]} independent normals, expected {p}"
         )
     return NormalFrame(vectors, signs)
 

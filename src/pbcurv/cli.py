@@ -52,6 +52,12 @@ DOUBLE_TRACE_PAIRS = (
     ("u*v", "1 + v^2"),
 )
 
+# parsed once per process, not once per point
+_DENSITIES = [DensityChoice.from_string(s) for s in RHO_INDEPENDENCE_DENSITIES]
+_DOUBLE_TRACE_ASTS = [
+    (parse_expression(f), parse_expression(h)) for f, h in DOUBLE_TRACE_PAIRS
+]
+
 _IDENTITY_TOLERANCES = {
     "p2_trace": 1e-9,
     "s2_trace": 1e-9,
@@ -111,19 +117,6 @@ def _load(args) -> tuple[SurfaceSpec, DensityChoice, list]:
     return spec, rho, points
 
 
-def _tables(spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float]):
-    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
-    met = induced_metric(emb)
-    return emb, met, build_bracket_table(emb, rho)
-
-
-def _frame(emb, met):
-    """Classical frame with its Weingarten derivatives, and its second fundamental forms."""
-    frame = classical_normal_frame(emb, met)
-    h = second_fundamental(emb, frame)
-    return weingarten_frame(emb, met, frame, h), frame, h
-
-
 def _kh(table, emb, met):
     return gauss_full_from_table(table, emb, met), mean_full_from_table(table, emb, met)
 
@@ -174,33 +167,61 @@ def _identity_residuals(table, emb, met, ff, h) -> dict[str, float]:
     return out
 
 
-def _curvature_record(
-    spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float], compare: bool
+def _record(
+    spec: SurfaceSpec, rho: DensityChoice, at: tuple[float, float], level: str
 ) -> dict:
-    emb, met, table = _tables(spec, rho, at)
-    k_full, h_full = _kh(table, emb, met)
-    record: dict[str, object] = {
-        "u": at[0],
-        "v": at[1],
-        "status": "ok",
-        "K_full": k_full,
-    }
-    for i, value in enumerate(h_full, start=1):
-        record[f"H_full_{i}"] = float(value)
-    if not compare:
-        return record
-    ff, frame, h = _frame(emb, met)
-    record["K_frame"] = gauss_via_frame(table, emb, met, ff)
-    record["K_oracle"] = classical_gauss(met, frame, h)
-    for i, value in enumerate(classical_mean(met, frame, h), start=1):
-        record[f"H_oracle_{i}"] = float(value)
+    """The values of one grid point at one level.
+
+    "plain": K and H; "compare": the --compare columns, plus "oracle_res",
+    the K/H residual against the classical oracle that the gate reads;
+    "invariants": the invariants rows, plus ind_g and sigma for the header.
+    """
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+    met = induced_metric(emb)
+    table = build_bracket_table(emb, rho)
+    record: dict[str, object] = {"u": at[0], "v": at[1], "status": "ok"}
+    if level != "invariants":
+        k_full, h_full = _kh(table, emb, met)
+        record["K_full"] = k_full
+        record.update({f"H_full_{i}": float(x) for i, x in enumerate(h_full, start=1)})
+        if level == "plain":
+            return record
+    frame = classical_normal_frame(emb, met)
+    h = second_fundamental(emb, frame)
+    ff = weingarten_frame(emb, met, frame, h)  # the frame with its derivatives
     res = _identity_residuals(table, emb, met, ff, h)
-    for column, key in _COMPARE_RESIDUALS.items():
-        record[column] = res[key]
+    if level == "invariants":
+        res["double_trace"] = _worst(
+            double_trace_check(table, emb, ff, 0, emb.sig.codim - 1, fa, ha)
+            for fa, ha in _DOUBLE_TRACE_ASTS
+        )
+        tables = [table if d == rho else build_bracket_table(emb, d) for d in _DENSITIES]
+        res["rho_independence"] = _kh_spread([_kh(t, emb, met) for t in tables])
+        return {**record, **res, "ind_g": met.ind_g, "sigma": sorted(frame.sigma.tolist())}
+    k_oracle, h_oracle = classical_gauss(met, frame, h), classical_mean(met, frame, h)
+    record["K_frame"] = gauss_via_frame(table, emb, met, ff)
+    record["K_oracle"] = k_oracle
+    record.update({f"H_oracle_{i}": float(x) for i, x in enumerate(h_oracle, start=1)})
+    record.update({column: res[key] for column, key in _COMPARE_RESIDUALS.items()})
     alt = DensityChoice.unit() if rho.kind != "unit" else DensityChoice.sqrt_abs_g()
     kh_alt = _kh(build_bracket_table(emb, alt), emb, met)
     record["res_rho_indep"] = _kh_spread([(k_full, h_full), kh_alt])
+    k_res = _rel(k_full - k_oracle, k_oracle)
+    record["oracle_res"] = _worst((k_res, _vec_rel(h_full, h_oracle)))
     return record
+
+
+def _records(spec, rho, points, level: str, skip_degenerate: bool = False) -> list[dict]:
+    """One record per grid point: a geometric error is a skipped row or exit 3."""
+    records = []
+    for _, _, u, v in points:
+        try:
+            records.append(_record(spec, rho, (u, v), level))
+        except GeometricError as exc:
+            if not skip_degenerate:
+                raise _geometric((u, v), exc) from exc
+            records.append({"u": u, "v": v, "status": f"skipped: {exc}"})
+    return records
 
 
 def _columns(m: int, compare: bool) -> list[str]:
@@ -243,88 +264,46 @@ def _emit(records: list[dict], columns: list[str], args, spec: SurfaceSpec, out)
 
 def cmd_curvature(args) -> int:
     spec, rho, points = _load(args)
-    records = []
-    for _, _, u, v in points:
-        try:
-            records.append(_curvature_record(spec, rho, (u, v), args.compare))
-        except GeometricError as exc:
-            if not args.skip_degenerate:
-                raise _geometric((u, v), exc) from exc
-            records.append({"u": u, "v": v, "status": f"skipped: {exc}"})
-    _write_output(records, _columns(spec.m, args.compare), args, spec)
-    if args.compare:
-        tol = args.tolerance if args.tolerance is not None else 1e-8
-        for rec in records:
-            if rec["status"] != "ok":
-                continue
-            k_res = _rel(rec["K_full"] - rec["K_oracle"], rec["K_oracle"])
-            h_full = np.array([rec[f"H_full_{i}"] for i in range(1, spec.m + 1)])
-            h_oracle = np.array([rec[f"H_oracle_{i}"] for i in range(1, spec.m + 1)])
-            # finite identity residuals are reported, not gated
-            finite = all(math.isfinite(rec[col]) for col in _RESIDUAL_COLUMNS)
-            if not (_worst((k_res, _vec_rel(h_full, h_oracle))) <= tol and finite):
-                print(
-                    f"comparison failure at (u, v) = ({rec['u']!r}, {rec['v']!r})",
-                    file=sys.stderr,
-                )
-                return 1
-    return 0
-
-
-def _write_output(records, columns, args, spec) -> None:
+    level = "compare" if args.compare else "plain"
+    records = _records(spec, rho, points, level, args.skip_degenerate)
+    columns = _columns(spec.m, args.compare)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             _emit(records, columns, args, spec, fh)
     else:
         _emit(records, columns, args, spec, sys.stdout)
+    tol = args.tolerance if args.tolerance is not None else 1e-8
+    for rec in records:
+        if level == "plain" or rec["status"] != "ok":
+            continue
+        # finite identity residuals are reported, not gated
+        finite = all(math.isfinite(rec[col]) for col in _RESIDUAL_COLUMNS)
+        if not (rec["oracle_res"] <= tol and finite):
+            at = f"({rec['u']!r}, {rec['v']!r})"
+            print(f"comparison failure at (u, v) = {at}", file=sys.stderr)
+            return 1
+    return 0
 
 
 def cmd_invariants(args) -> int:
     spec, rho, points = _load(args)
+    records = _records(spec, rho, points, "invariants")
     tolerances = dict(_IDENTITY_TOLERANCES)
     if args.tolerance is not None:
         tolerances = {key: args.tolerance for key in tolerances}
-    worst: dict[str, float] = {key: 0.0 for key in tolerances}
-    densities = [DensityChoice.from_string(s) for s in RHO_INDEPENDENCE_DENSITIES]
-    pairs = [
-        (parse_expression(f), parse_expression(h)) for f, h in DOUBLE_TRACE_PAIRS
-    ]
-    codim = spec.signature.codim
-    info = None
-    for _, _, u, v in points:
-        at = (u, v)
-        try:
-            emb, met, table = _tables(spec, rho, at)
-            ff, frame, h = _frame(emb, met)
-            out = _identity_residuals(table, emb, met, ff, h)
-            out["double_trace"] = _worst(
-                double_trace_check(table, emb, ff, 0, codim - 1, fa, ha)
-                for fa, ha in pairs
-            )
-            tables = [table if d == rho else build_bracket_table(emb, d) for d in densities]
-            out["rho_independence"] = _kh_spread([_kh(t, emb, met) for t in tables])
-        except GeometricError as exc:
-            raise _geometric(at, exc) from exc
-        if info is None:
-            info = (
-                f"ind_g={met.ind_g}  delta={spec.nu - met.ind_g}  "
-                f"sigma multiset={sorted(frame.sigma.tolist())}"
-            )
-        for key, value in out.items():
-            worst[key] = _worst((worst[key], value))
-
+    worst = {key: _worst([0.0, *(rec[key] for rec in records)]) for key in tolerances}
+    ind_g, sigma = records[0]["ind_g"], records[0]["sigma"]
     print(f"surface: {spec.name}  m={spec.m}  nu={spec.nu}  rho={rho.source}")
-    print(f"{info}  points={len(points)}")
-    failed = False
+    print(
+        f"ind_g={ind_g}  delta={spec.nu - ind_g}  "
+        f"sigma multiset={sigma}  points={len(points)}"
+    )
     print(f"{'identity':<18}{'max residual':>14}{'tolerance':>12}  status")
-    for key in tolerances:
-        ok = worst[key] <= tolerances[key]
-        failed = failed or not ok
-        print(
-            f"{key:<18}{worst[key]:>14.3e}{tolerances[key]:>12.1e}  "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
-    return 1 if failed else 0
+    passed = {key: worst[key] <= tol for key, tol in tolerances.items()}
+    for key, tol in tolerances.items():
+        status = "PASS" if passed[key] else "FAIL"
+        print(f"{key:<18}{worst[key]:>14.3e}{tol:>12.1e}  {status}")
+    return 0 if all(passed.values()) else 1
 
 
 def _parse_grid(text: str | None) -> tuple[int, int] | None:

@@ -74,6 +74,10 @@ class FrameConstructionError(GeometricError):
     """Gram-Schmidt could not produce a pseudo-orthonormal normal frame."""
 
 
+class NonFiniteCurvatureError(GeometricError):
+    """The bracket path's K or H is not finite at a sample point."""
+
+
 class ZeroDensityError(GeometricError):
     """The symplectic density vanishes at a sample point."""
 

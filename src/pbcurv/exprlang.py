@@ -194,7 +194,10 @@ class _Parser:
             child, depth = self.parse_expr(_UNARY)
             return Neg(child, tok.pos), self.deeper(depth, tok.pos)
         if tok.kind == "number":
-            return Constant(float(tok.text), tok.pos), 1
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError(f"number {tok.text} is outside the float range", tok.pos)
+            return Constant(value, tok.pos), 1
         if tok.kind == "lparen":
             inner = self.parse_expr(0)
             self.expect("rparen", "')'")

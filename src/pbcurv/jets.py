@@ -23,7 +23,7 @@ DENOM_FLOOR = 1e-300
 
 def _check_finite(op: str, value: float, grad: np.ndarray, hess: np.ndarray) -> None:
     if not math.isfinite(value):
-        raise JetDomainError(op, value)
+        raise JetDomainError(op, value, "is undefined" if math.isnan(value) else "overflows")
     for part, arr in (("gradient", grad), ("Hessian", hess)):
         if not np.isfinite(arr).all():
             raise JetDomainError(op, value, f"overflows in its {part}")

@@ -34,6 +34,7 @@ from .classical import (
 )
 from .errors import (
     FrameConstructionError,
+    NonFiniteCurvatureError,
     RankDeficiencyError,
     UsageError,
     ZeroDensityError,
@@ -95,9 +96,7 @@ def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
     assert choice.expr is not None
     rho = eval_jet(choice.expr, emb.at).lower()
     if abs(rho.value) <= DENOM_FLOOR:
-        raise ZeroDensityError(
-            f"density {choice.source!r} vanishes at (u, v) = {emb.at}"
-        )
+        raise ZeroDensityError(f"density {choice.source!r} vanishes")
     return rho
 
 
@@ -625,7 +624,13 @@ def gauss_full_from_table(
     # w is a signed power of two, so w * T is exact
     acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
     rv = table.rho.value
-    return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    try:
+        k = -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    except OverflowError:  # rho^4 or det g^2 leaves the float range
+        k = math.nan
+    if not math.isfinite(k):
+        raise NonFiniteCurvatureError("Gauss curvature K is not finite")
+    return k
 
 
 def mean_full_from_table(
@@ -647,8 +652,14 @@ def mean_full_from_table(
     left, right = _mean_terms(m)
     out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
     rv = table.rho.value
-    factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    return factor * out
+    try:
+        factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    except OverflowError:  # rho^4 or det g^2 leaves the float range
+        factor = math.nan
+    out = factor * out
+    if not np.isfinite(out).all():
+        raise NonFiniteCurvatureError("mean curvature vector H is not finite")
+    return out
 
 
 def gauss_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> float:

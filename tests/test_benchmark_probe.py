@@ -5,6 +5,8 @@ the globals it wraps such as poisson.eps_contract_naive).  A stage whose
 name or signature changes is reported as absent, and the benchmark then
 prints a metric without a value.  This replays a small torus and a small
 m=7 surface through the probe and requires every stage to be present.
+It also passes real `invariants` and `curvature --compare` output through
+the benchmark's own output checks.
 """
 
 import importlib.util
@@ -66,3 +68,23 @@ def test_traced_replay_finds_every_stage(tmp_path, monkeypatch):
     assert tracer.absent == {}
     traced = {span[1] for span in tracer.spans}
     assert [name for name in probe.POINT_STAGES if name not in traced] == []
+
+
+def test_invariants_table_meets_the_benchmark_contract(capsys, monkeypatch):
+    # the benchmark reads only rows of exactly four whitespace-separated fields
+    workloads = _load("workloads", monkeypatch)
+    rc = cli.main(["invariants", "torus", "--grid", "4x4"])
+    text = capsys.readouterr().out
+    rows = workloads.parse_invariants(text)
+    assert rows == {key: (rows[key][0], "PASS") for key in cli._IDENTITY_TOLERANCES}
+    request = workloads.Request("invariants", "torus")
+    assert workloads.check_invariants(text, rc, request)[0] == 0
+
+
+def test_compare_json_meets_the_benchmark_contract(capsys, monkeypatch):
+    workloads = _load("workloads", monkeypatch)
+    args = ["curvature", "torus", "--grid", "4x4", "--compare", "--format", "json"]
+    assert cli.main(args) == 0
+    oracle = workloads.Oracle(surfaces.load_spec("torus"))
+    worst = workloads.check_curvature(capsys.readouterr().out, "json", oracle, 3, 4)
+    assert worst <= workloads.TOLERANCE

@@ -199,12 +199,19 @@ def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
     assert (len(tables), len(tensors)) == (3, 3)
 
 
-def test_invariants_reuses_the_run_table(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    ("rho", "expected"),
+    [([], 3), (["--rho", "unit"], 3), (["--rho", "expr:2 + sin(v)"], 4)],
+    ids=["default", "unit", "expr"],
+)
+def test_invariants_reuses_the_run_table(rho, expected, capsys, monkeypatch):
     tables = _count_calls(monkeypatch, cli, "build_bracket_table")
     tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
-    assert run_cli(["invariants", "torus", "--grid", "3x3"], capsys)[0] == 0
-    # the run's sqrt_abs_g table serves the density loop too: unit and expr: are new
-    assert (len(tables), len(tensors)) == (3, 3)
+    assert run_cli(["invariants", "torus", "--grid", "3x3", *rho], capsys)[0] == 0
+    # a run density among unit, sqrt_abs_g and expr:1 + 0.3*sin(u) serves the
+    # density loop too; any other density adds a table of its own, which only
+    # the identities read, so T is built for the three densities alone
+    assert (len(tables), len(tensors)) == (expected, 3)
 
 
 @pytest.mark.parametrize(
@@ -212,9 +219,11 @@ def test_invariants_reuses_the_run_table(capsys, monkeypatch):
 )
 def test_centre_point_evaluated_once(args, capsys, monkeypatch):
     evaluations = _count_calls(monkeypatch, cli, "evaluate_embedding")
+    residuals = _count_calls(monkeypatch, cli, "_identity_residuals")
     assert run_cli(args + ["--grid", "3x3"], capsys)[0] == 0
-    # one interior point: the frame derivatives come from its own jets
-    assert len(evaluations) == 1
+    # one interior point: the frame derivatives come from its own jets, and
+    # both commands compute its identity residuals once
+    assert (len(evaluations), len(residuals)) == (1, 1)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -357,16 +366,26 @@ def test_curvature_rho_flag_changes_nothing(capsys):
         assert abs(ru["K_full"] - re_["K_full"]) <= 1e-7
 
 
-def test_degenerate_surface_exit_three(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "args", [["curvature"], ["curvature", "--compare"], ["invariants"]],
+    ids=["curvature", "compare", "invariants"],
+)
+def test_degenerate_surface_exit_three(args, tmp_path, capsys):
     cfg = tmp_path / "null.surface"
     cfg.write_text(
         'm = 3\nnu = 1\ncoords = ["u", "u", "v"]\ndomain = [0, 1, 0, 1]\n'
     )
-    code, _, err = run_cli(["curvature", str(cfg)], capsys)
+    code, _, err = run_cli([args[0], str(cfg), *args[1:]], capsys)
     assert code == 3
-    assert "at (u, v)" in err  # the failing point is named
+    # the failing point is named once, by the command line's prefix
+    assert err.count("(u, v)") == 1
+    point = "(0.14285714285714285, 0.14285714285714285)"
+    assert err == f"geometric error: at (u, v) = {point}: induced metric is singular: det g = 0.0\n"
+    if args[0] == "invariants":
+        return  # --skip-degenerate is a curvature option
 
-    code, out, _ = run_cli(["curvature", str(cfg), "--skip-degenerate"], capsys)
+    # the gate of --compare skips the skipped rows
+    code, out, _ = run_cli([args[0], str(cfg), *args[1:], "--skip-degenerate"], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     assert rows and all(row["status"].startswith("skipped") for row in rows)
@@ -387,6 +406,7 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "sphere", "--grid", "8"], capsys)[0] == 2
     assert run_cli(["curvature", "sphere", "--rho", "bogus"], capsys)[0] == 2
     assert run_cli(["curvature", "sphere", "--rho", "expr:u @ v"], capsys)[0] == 2
+    assert run_cli(["curvature", "sphere", "--rho", "expr:1e400"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize(
@@ -581,8 +601,12 @@ def test_jet_overflow_exit_three(coord, fn, tmp_path):
     assert f"{fn} overflows the float range" in proc.stderr
 
 
-@pytest.mark.parametrize("coord", ["1e400*u", "1/(u^-300)^2"])
-def test_jet_overflow_prints_no_numpy_warning(coord, tmp_path):
+@pytest.mark.parametrize(
+    ("coord", "message"),
+    [("exp(700)*exp(700)*u", "mul overflows at value inf"), ("1/(u^-300)^2", "mul overflows")],
+    ids=["exp(700)*exp(700)*u", "1/(u^-300)^2"],
+)
+def test_jet_overflow_prints_no_numpy_warning(coord, message, tmp_path):
     cfg = tmp_path / "overflow.surface"
     cfg.write_text(
         f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\ndomain = [0.1, 1, 0.1, 1]\n'
@@ -591,6 +615,39 @@ def test_jet_overflow_prints_no_numpy_warning(coord, tmp_path):
     assert proc.returncode == 3
     (line,) = proc.stderr.splitlines()
     assert line.startswith("geometric error:")
+    assert message in line
+
+
+BIG_SPHERE = (
+    'm = 3\nnu = 0\ncoords = ["1e39*sin(u)*cos(v)", "1e39*sin(u)*sin(v)", "1e39*cos(u)"]\n'
+    "domain = [0.3, 2.8, 0.1, 6.0]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["curvature"], ["curvature", "--rho", "unit"], ["curvature", "--compare"], ["invariants"]],
+    ids=["curvature", "unit", "compare", "invariants"],
+)
+def test_non_finite_curvature_exit_three_or_skipped(args, tmp_path, capsys):
+    # rho^4 and det g^2 leave the float range at radius 1e39
+    cfg = tmp_path / "big.surface"
+    cfg.write_text(BIG_SPHERE)
+    argv = [args[0], str(cfg), "--grid", "3x3", *args[1:]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "geometric error: at (u, v) = (1.55, 3.0500000000000003): "
+        "Gauss curvature K is not finite\n"
+    )
+    if args[0] == "invariants":
+        return
+    code, out, err = run_cli(argv + ["--skip-degenerate"], capsys)
+    assert code == 0
+    assert err == ""
+    _, (row,) = parse_csv(out)
+    assert row["status"] == "skipped: Gauss curvature K is not finite"
 
 
 def test_jet_derivative_overflow_names_the_derivative(tmp_path, capsys):

@@ -105,6 +105,13 @@ def test_depth_limit_is_exact(make):
         parse_expression(make(MAX_DEPTH + 1))
 
 
+def test_out_of_range_literal_rejected_at_parse():
+    with pytest.raises(ParseError) as err:
+        parse_expression("2 + 1e400*u")
+    assert err.value.position == 4
+    assert str(err.value) == "number 1e400 is outside the float range (at offset 4)"
+
+
 def test_parse_error_positions_in_range():
     for src in ["sin(u", "u +", "()", "u u", "sin(u, v)", "1 + * 2"]:
         with pytest.raises(ParseError) as err:

@@ -236,6 +236,17 @@ def test_derivative_overflow_names_the_derivative():
     assert str(exc.value) == f"exp overflows in its Hessian at value {math.e!r}"
 
 
+def test_value_overflow_says_so():
+    big = Jet2.constant(1e200)
+    with pytest.raises(JetDomainError) as exc:
+        big * big
+    assert str(exc.value) == "mul overflows at value inf"
+    inf = Jet2.constant(math.inf)
+    with pytest.raises(JetDomainError) as exc:
+        inf - inf
+    assert str(exc.value) == "sub is undefined at value nan"
+
+
 def test_lower_truncates():
     u, v = uv((1.0, 2.0))
     j = (u * v).lower()

@@ -30,7 +30,7 @@ from .poisson import (
     zmap_invariants,
 )
 from .surfaces import CATALOG, SurfaceSpec, load_spec
-from .tensor import AmbientSignature, eps_contract_naive, eps_contract_reduced, eps_symbol
+from .tensor import AmbientSignature, eps_contract_naive
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,6 @@ __all__ = [
     "classical_mean",
     "classical_normal_frame",
     "eps_contract_naive",
-    "eps_contract_reduced",
-    "eps_symbol",
     "evaluate_embedding",
     "gauss_full",
     "gauss_via_frame",

@@ -20,6 +20,8 @@ from .tensor import AmbientSignature
 
 # Relative floor on |det g| before the metric counts as singular.
 DEGENERACY_TOL = 1e-10
+# Relative size below which a Gram-Schmidt residual counts as dependent.
+DROP_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -121,7 +123,6 @@ def pivoted_orthonormalize(
     max_count: int,
     *,
     null_tol: float,
-    drop_tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy Gram-Schmidt under a diagonal +-1 inner product.
 
@@ -134,7 +135,7 @@ def pivoted_orthonormalize(
     round's longest are left out of the tie: they are dominated by
     cancellation noise from the projections, and normalizing one would
     contaminate the frame even though its quality still looks perfect.
-    Candidates whose residual shrinks below drop_tol times their original
+    Candidates whose residual shrinks below DROP_TOL times their original
     size are treated as dependent and skipped.  Raises _NullPivot if only
     null residuals remain while independent candidates still exist, and
     FrameConstructionError if a candidate is not finite.
@@ -142,8 +143,8 @@ def pivoted_orthonormalize(
     if not np.isfinite(candidates).all():
         raise FrameConstructionError("normal candidates are non-finite")
     pre = np.sqrt(np.einsum("ij,ij->i", candidates, candidates))
-    keep = pre > drop_tol
-    resid, floor = candidates[keep], drop_tol * pre[keep]
+    keep = pre > DROP_TOL
+    resid, floor = candidates[keep], DROP_TOL * pre[keep]
     accepted: list[np.ndarray] = []
     signs: list[int] = []
     while len(accepted) < max_count:
@@ -227,8 +228,3 @@ def normal_projector(sig: AmbientSignature, frame: NormalFrame) -> np.ndarray:
     normal frames of the same surface.
     """
     return np.einsum("A,Ak,Al->kl", frame.sigma.astype(float), frame.vectors, frame.vectors)
-
-
-def tangent_projector(emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
-    """Sum of g^{ab} e_a^k e_b^l: the tangent block of the inverse metric."""
-    return np.einsum("ab,ak,bl->kl", met.ginv, emb.e, emb.e)

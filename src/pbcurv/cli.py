@@ -282,6 +282,9 @@ def cmd_curvature(args) -> int:
             at = f"({rec['u']!r}, {rec['v']!r})"
             print(f"comparison failure at (u, v) = {at}", file=sys.stderr)
             return 1
+    if level == "compare" and all(rec["status"] != "ok" for rec in records):
+        print("comparison failure: no point was compared", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -288,101 +288,3 @@ def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
         fn = node.fn if isinstance(node, Call) else getattr(node, "op", "pow")
         raise EvalError(f"{fn} overflows the float range", node.pos) from exc
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def eval_value(node: Ast, at: tuple[float, float]) -> float:
-    """Plain float evaluation, independent of the jet arithmetic."""
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Variable):
-        return float(at[node.index])
-    if isinstance(node, Neg):
-        return -eval_value(node.child, at)
-    if isinstance(node, BinOp):
-        left = eval_value(node.left, at)
-        right = eval_value(node.right, at)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if abs(right) <= jets.DENOM_FLOOR:
-            raise EvalError(f"division by near-zero value {right!r}", node.pos)
-        return left / right
-    if isinstance(node, PowConst):
-        base = eval_value(node.base, at)
-        c = node.exponent
-        if c.is_integer():
-            if base == 0.0 and c < 0:
-                raise EvalError("zero base with negative exponent", node.pos)
-            return base ** int(c)
-        if base <= 0.0:
-            raise EvalError(f"fractional power of non-positive base {base!r}", node.pos)
-        return base**c
-    if isinstance(node, Call):
-        arg = eval_value(node.arg, at)
-        try:
-            return _FLOAT_FNS[node.fn](arg)
-        except ValueError as exc:
-            raise EvalError(f"{node.fn} undefined at {arg!r}", node.pos) from exc
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-_FLOAT_FNS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-}
-
-
-# --- Pretty printing ---------------------------------------------------
-
-def _node_prec(node: Ast) -> int:
-    if isinstance(node, BinOp):
-        return _BINARY_PREC[node.op]
-    if isinstance(node, Neg):
-        return _UNARY
-    if isinstance(node, PowConst):
-        return _POW
-    return 5
-
-
-def _wrap(node: Ast, min_prec: int) -> str:
-    text = to_source(node)
-    return f"({text})" if _node_prec(node) < min_prec else text
-
-
-def to_source(node: Ast) -> str:
-    """Render an AST back to a string that reparses to an equal tree."""
-    if isinstance(node, Constant):
-        return _format_number(node.value)
-    if isinstance(node, Variable):
-        return node.name
-    if isinstance(node, Neg):
-        return f"-{_wrap(node.child, _UNARY)}"
-    if isinstance(node, BinOp):
-        prec = _BINARY_PREC[node.op]
-        left = _wrap(node.left, prec)
-        right = _wrap(node.right, prec + 1)
-        return f"{left} {node.op} {right}"
-    if isinstance(node, PowConst):
-        base = _wrap(node.base, _POW + 1)
-        if node.exponent < 0:
-            return f"{base}^(-{_format_number(-node.exponent)})"
-        return f"{base}^{_format_number(node.exponent)}"
-    if isinstance(node, Call):
-        return f"{node.fn}({to_source(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _format_number(value: float) -> str:
-    # repr round-trips exactly and stays within the lexer's number form
-    # (digits, optional fraction, optional exponent) for non-negatives.
-    return repr(float(value))

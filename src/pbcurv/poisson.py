@@ -146,10 +146,14 @@ def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> Bracke
     With A = e_u (x) e_v and B[i, j, a] = d_a e_u^i e_v^j + e_u^i d_a e_v^j,
     w = A - A^T and dw = B - B^T are the bracket numerators and their
     gradients; P = w / rho and Pgrad = dw / rho - w d(rho) / rho^2, the
-    expression poisson_bracket evaluates for one pair.
+    expression poisson_bracket evaluates for one pair.  T scales like
+    1 / rho^2, so it loses its digits once |rho| passes 2^500, about 3e150,
+    or drops below 2^-500; such a density raises NonFiniteCurvatureError.
     """
     rho = density_jet(rho_choice, emb)
     rv = _density_value(rho)
+    if abs(math.frexp(rv)[1]) > 500:
+        raise NonFiniteCurvatureError(f"nested brackets leave the float range at rho = {rv!r}")
     eu, ev = emb.e
     xdd = emb.xdd
     A = np.multiply.outer(eu, ev)
@@ -231,38 +235,35 @@ def _transported(center: NormalFrame, target: NormalFrame, gbar: np.ndarray, at)
     return out
 
 
-def frame_with_derivatives(
-    build, at: tuple[float, float], sig: AmbientSignature, step: float = FRAME_STEP,
-    center: NormalFrame | None = None,
-) -> FrameField:
+def frame_with_derivatives(build, at: tuple[float, float], sig: AmbientSignature) -> FrameField:
     """Finite-difference oracle for the Weingarten equation (weingarten_frame).
 
     Differentiates a pointwise frame constructor by central differences;
     unlike weingarten_frame, the result carries the normal part of the
     derivatives too.  No production path calls it: it stays here because
     the benchmark probe looks it up by name, and it belongs in the tests.
-    build maps a parameter point to a NormalFrame; center, when given, is
-    build(at) already at hand.  Frames at the stencil points are replaced
-    by projector transports of the center frame (see _transported), then
-    combined with fourth-order weights.
+    build maps a parameter point to a NormalFrame, and the step is
+    FRAME_STEP.  Frames at the stencil points are replaced by projector
+    transports of the center frame (see _transported), then combined
+    with fourth-order weights.
     The transported field is exactly the center frame at the center and
     stays smooth in the stencil parameter, so the quotients converge at
     full order even where the pointwise construction picks pivots
     non-smoothly.
     """
     u, v = at
-    center = build((u, v)) if center is None else center
+    center = build(at)
     gbar = sig.gbar
     grads = np.zeros(center.vectors.shape + (2,))
     for axis, (du, dv) in enumerate(((1.0, 0.0), (0.0, 1.0))):
 
         def shifted(k: float) -> np.ndarray:
-            q = (u + k * step * du, v + k * step * dv)
+            q = (u + k * FRAME_STEP * du, v + k * FRAME_STEP * dv)
             return _transported(center, build(q), gbar, at)
 
         grads[:, :, axis] = (
             shifted(-2.0) - 8.0 * shifted(-1.0) + 8.0 * shifted(1.0) - shifted(2.0)
-        ) / (12.0 * step)
+        ) / (12.0 * FRAME_STEP)
     return FrameField(center.vectors, grads, center.sigma)
 
 
@@ -434,7 +435,7 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     p = sig.codim
     try:
         normals, sigma = pivoted_orthonormalize(
-            zd.Z_lower, sig.gbar, sig.m, null_tol=1e-8, drop_tol=1e-8
+            zd.Z_lower, sig.gbar, sig.m, null_tol=1e-8
         )
     except _NullPivot as exc:
         raise RankDeficiencyError(
@@ -606,6 +607,19 @@ def _mean_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, :, 0], idx[:, :, 1]
 
 
+def _rho_scale(table: BracketTable) -> tuple[float, float]:
+    """rho and the power of two s with |rho / s| in [1/2, 1).
+
+    P scales like 1 / rho and T like 1 / rho^2, so P * s and T * s * s
+    stay near the size they have at rho = 1, and (rho / s)^4 cannot
+    overflow: a constant density far from 1 leaves K and H finite.
+    Scaling by a power of two is exact, so K and H do not change.  s * s
+    is never formed; it overflows for rho above about 1e154.
+    """
+    rv = table.rho.value
+    return rv, math.ldexp(1.0, math.frexp(rv)[1])
+
+
 def gauss_full_from_table(
     table: BracketTable, emb: EmbeddingEval, met: InducedMetric
 ) -> float:
@@ -618,15 +632,14 @@ def gauss_full_from_table(
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    T = _nested(table, emb)
+    rv, s = _rho_scale(table)
+    Tf = (_nested(table, emb) * s * s).ravel()
     left, right, w = _gauss_terms(sig)
-    Tf = T.ravel()
     # w is a signed power of two, so w * T is exact
     acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
-    rv = table.rho.value
     try:
-        k = -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    except OverflowError:  # rho^4 or det g^2 leaves the float range
+        k = -((rv / s) ** 4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    except OverflowError:  # det g^2 leaves the float range
         k = math.nan
     if not math.isfinite(k):
         raise NonFiniteCurvatureError("Gauss curvature K is not finite")
@@ -645,16 +658,16 @@ def mean_full_from_table(
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    T = _nested(table, emb)
+    rv, s = _rho_scale(table)
+    P = table.P * s
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
-    W = gb[:, None] * table.P * gb[None, :]
+    G = np.einsum("ij,j,jrn->irn", P, gb, _nested(table, emb) * s * s)
+    W = gb[:, None] * P * gb[None, :]
     left, right = _mean_terms(m)
     out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
-    rv = table.rho.value
     try:
-        factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    except OverflowError:  # rho^4 or det g^2 leaves the float range
+        factor = (rv / s) ** 4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    except OverflowError:  # det g^2 leaves the float range
         factor = math.nan
     out = factor * out
     if not np.isfinite(out).all():

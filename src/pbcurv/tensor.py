@@ -1,20 +1,17 @@
-"""Flat ambient signatures, permutation symbols, and symbol contractions.
+"""Flat ambient signatures and the brute-force permutation-symbol contraction.
 
 The curvature formulas contract two rank-m permutation symbols over all
 but three slots: eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl}.
 Production code (poisson.gauss_full_from_table and mean_full_from_table)
-applies this identity to whole (m, m, m) tensors and never calls the
-scalar functions here.  Two scalar versions stay for tests and for the
-brute-force oracles poisson._gauss_naive and _mean_naive: a sum over
-every multi-index and the closed form with six signed Kronecker-delta
-pairings times (m-3)!.  Both work on plain integers, so their agreement
-is exact, not approximate.
+applies this identity to whole (m, m, m) tensors.  eps_contract_naive
+sums the left side over every multi-index on plain integers; it feeds
+the brute-force oracles poisson._gauss_naive and _mean_naive.  The
+tests keep the scalar closed form and the symbol itself as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,9 +53,6 @@ class AmbientSignature:
     def codim(self) -> int:
         return self.m - 2
 
-    def det_sign(self) -> int:
-        return (-1) ** self.nu
-
     def product_over(self, indices: tuple[int, ...]) -> float:
         """Product of metric entries over a 1-based multi-index."""
         out = 1.0
@@ -80,13 +74,6 @@ def permutation_sign(seq: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def eps_symbol(indices: tuple[int, ...]) -> int:
-    """Permutation symbol on len(indices) letters, 1-based entries."""
-    m = len(indices)
-    _validate_indices(indices, m)
-    return permutation_sign(indices) if len(set(indices)) == m else 0
-
-
 @lru_cache(maxsize=None)
 def eps_table(m: int) -> np.ndarray:
     """Dense rank-m permutation symbol, entries in {-1, 0, 1}."""
@@ -101,8 +88,7 @@ def eps_table(m: int) -> np.ndarray:
 def eps_contract_naive(jkl: tuple[int, int, int], irn: tuple[int, int, int], m: int) -> int:
     """Sum of eps[jkl + L] * eps[irn + L] over every multi-index L.
 
-    Literal enumeration of all m**(m-3) values of L; kept as the oracle
-    for the closed form below.
+    Literal enumeration of all m**(m-3) values of L.
     """
     if m < 3:
         raise ValueError(f"m must be at least 3, got {m}")
@@ -116,21 +102,3 @@ def eps_contract_naive(jkl: tuple[int, int, int], irn: tuple[int, int, int], m: 
     if m == 3:
         return int(left) * int(right)
     return int(np.sum(left * right, dtype=np.int64))
-
-
-def eps_contract_reduced(jkl: tuple[int, int, int], irn: tuple[int, int, int], m: int) -> int:
-    """Closed form: (m-3)! times the 3x3 determinant of index deltas.
-
-    Constant work per call; no enumeration over trailing multi-indices.
-    """
-    if m < 3:
-        raise ValueError(f"m must be at least 3, got {m}")
-    _validate_indices(jkl, m)
-    _validate_indices(irn, m)
-    d = [[1 if a == b else 0 for b in irn] for a in jkl]
-    det = (
-        d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
-        - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
-        + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
-    )
-    return math.factorial(m - 3) * det

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from pbcurv.classical import EmbeddingEval, _NullPivot, evaluate_embedding, induced_metric
-from pbcurv.jets import Jet1, Jet2
+from pbcurv.classical import (
+    EmbeddingEval,
+    InducedMetric,
+    _NullPivot,
+    evaluate_embedding,
+    induced_metric,
+)
+from pbcurv.errors import EvalError
+from pbcurv.exprlang import Ast, BinOp, Call, Constant, Neg, PowConst, Variable
+from pbcurv.jets import DENOM_FLOOR, Jet1, Jet2
 from pbcurv.poisson import DensityChoice, build_bracket_table
 from pbcurv.surfaces import CATALOG, SurfaceSpec, grid_points
-from pbcurv.tensor import AmbientSignature
+from pbcurv.tensor import AmbientSignature, _validate_indices, permutation_sign
 
 
 def rel(a: float, b: float) -> float:
@@ -138,3 +148,85 @@ def looped_orthonormalize(
     if not accepted:
         return np.zeros((0, dim)), np.zeros(0, dtype=int)
     return np.array(accepted), np.array(signs, dtype=int)
+
+
+def eval_value(node: Ast, at: tuple[float, float]) -> float:
+    """Oracle for pbcurv.exprlang.eval_jet: plain float evaluation, no jet arithmetic."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Variable):
+        return float(at[node.index])
+    if isinstance(node, Neg):
+        return -eval_value(node.child, at)
+    if isinstance(node, BinOp):
+        left = eval_value(node.left, at)
+        right = eval_value(node.right, at)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if abs(right) <= DENOM_FLOOR:
+            raise EvalError(f"division by near-zero value {right!r}", node.pos)
+        return left / right
+    if isinstance(node, PowConst):
+        base = eval_value(node.base, at)
+        c = node.exponent
+        if c.is_integer():
+            if base == 0.0 and c < 0:
+                raise EvalError("zero base with negative exponent", node.pos)
+            return base ** int(c)
+        if base <= 0.0:
+            raise EvalError(f"fractional power of non-positive base {base!r}", node.pos)
+        return base**c
+    if isinstance(node, Call):
+        arg = eval_value(node.arg, at)
+        try:
+            return _FLOAT_FNS[node.fn](arg)
+        except ValueError as exc:
+            raise EvalError(f"{node.fn} undefined at {arg!r}", node.pos) from exc
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+_FLOAT_FNS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+    "tanh": math.tanh,
+    "exp": math.exp,
+    "ln": math.log,
+    "sqrt": math.sqrt,
+}
+
+
+def tangent_projector(emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
+    """Sum of g^{ab} e_a^k e_b^l: the tangent block of the inverse metric."""
+    return np.einsum("ab,ak,bl->kl", met.ginv, emb.e, emb.e)
+
+
+def eps_symbol(indices: tuple[int, ...]) -> int:
+    """Permutation symbol on len(indices) letters, 1-based entries."""
+    m = len(indices)
+    _validate_indices(indices, m)
+    return permutation_sign(indices) if len(set(indices)) == m else 0
+
+
+def eps_contract_reduced(jkl: tuple[int, int, int], irn: tuple[int, int, int], m: int) -> int:
+    """Oracle for pbcurv.tensor.eps_contract_naive: (m-3)! times a 3x3 delta determinant.
+
+    Constant work per call; no enumeration over trailing multi-indices.
+    """
+    if m < 3:
+        raise ValueError(f"m must be at least 3, got {m}")
+    _validate_indices(jkl, m)
+    _validate_indices(irn, m)
+    d = [[1 if a == b else 0 for b in irn] for a in jkl]
+    det = (
+        d[0][0] * (d[1][1] * d[2][2] - d[1][2] * d[2][1])
+        - d[0][1] * (d[1][0] * d[2][2] - d[1][2] * d[2][0])
+        + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
+    )
+    return math.factorial(m - 3) * det

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from helpers import midpoint, rel, vec_rel
+from helpers import eps_contract_reduced, eval_value, midpoint, rel, vec_rel
 from pbcurv import tensor
 from pbcurv.classical import (
     classical_gauss,
@@ -22,7 +22,7 @@ from pbcurv.classical import (
     normal_projector,
     second_fundamental,
 )
-from pbcurv.exprlang import eval_jet, eval_value, parse_expression
+from pbcurv.exprlang import eval_jet, parse_expression
 from pbcurv.poisson import (
     DensityChoice,
     _gauss_naive,
@@ -41,7 +41,7 @@ from pbcurv.poisson import (
     zmap_invariants,
 )
 from pbcurv.surfaces import CATALOG, grid_points, load_spec
-from pbcurv.tensor import eps_contract_naive, eps_contract_reduced
+from pbcurv.tensor import eps_contract_naive
 
 
 def _specs():

@@ -18,7 +18,6 @@ from pbcurv.classical import (
     normal_projector,
     pivoted_orthonormalize,
     second_fundamental,
-    tangent_projector,
 )
 from pbcurv.errors import DegenerateMetricError, FrameConstructionError
 from pbcurv.exprlang import parse_expression
@@ -32,6 +31,7 @@ from helpers import (
     metric_jets,
     midpoint,
     random_embedding,
+    tangent_projector,
 )
 
 

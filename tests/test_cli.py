@@ -384,11 +384,47 @@ def test_degenerate_surface_exit_three(args, tmp_path, capsys):
     if args[0] == "invariants":
         return  # --skip-degenerate is a curvature option
 
-    # the gate of --compare skips the skipped rows
-    code, out, _ = run_cli([args[0], str(cfg), *args[1:], "--skip-degenerate"], capsys)
-    assert code == 0
+    # every row is skipped: the gate of --compare compared nothing and fails
+    code, out, err = run_cli([args[0], str(cfg), *args[1:], "--skip-degenerate"], capsys)
+    compare = "--compare" in args
+    assert code == (1 if compare else 0)
+    assert err == ("comparison failure: no point was compared\n" if compare else "")
     _, rows = parse_csv(out)
     assert rows and all(row["status"].startswith("skipped") for row in rows)
+
+
+def test_compare_gate_passes_over_some_skipped_rows(tmp_path, capsys):
+    # det g = 0 on the line u = 0 only: 3 of 9 rows are skipped, 6 compared
+    cfg = tmp_path / "cubic.surface"
+    cfg.write_text('m = 3\nnu = 0\ncoords = ["u^3", "v", "0"]\ndomain = [-1, 1, -1, 1]\n')
+    argv = ["curvature", str(cfg), "--grid", "5x5", "--compare", "--skip-degenerate"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == ""
+    _, rows = parse_csv(out)
+    statuses = [row["status"] for row in rows]
+    assert len(statuses) == 9 and statuses.count("ok") == 6
+
+
+@pytest.mark.parametrize("rho", ["1e80", "1e-100", "1e150", "1e-150"])
+@pytest.mark.parametrize("compare", [False, True], ids=["plain", "compare"])
+def test_constant_density_far_from_one_keeps_k_finite(rho, compare, capsys):
+    argv = ["curvature", "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"]
+    code, out, err = run_cli(argv + ["--compare"] * compare, capsys)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert rows and all(abs(row["K_full"] - 1.0) <= 1e-12 for row in rows)
+
+
+@pytest.mark.parametrize("rho", ["1e200", "1e-200"])
+@pytest.mark.parametrize("command", ["curvature", "invariants"])
+def test_constant_density_beyond_the_float_range_exit_three(command, rho, capsys):
+    # T ~ 1 / rho^2 leaves the float range in the table itself, so the point
+    # exits 3 before K, H or a residual divides by it
+    code, out, err = run_cli([command, "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.endswith(f"nested brackets leave the float range at rho = {float(rho)!r}\n")
 
 
 def test_degenerate_metric_message_prints_plain_floats():
@@ -644,8 +680,9 @@ def test_non_finite_curvature_exit_three_or_skipped(args, tmp_path, capsys):
     if args[0] == "invariants":
         return
     code, out, err = run_cli(argv + ["--skip-degenerate"], capsys)
-    assert code == 0
-    assert err == ""
+    compare = "--compare" in args
+    assert code == (1 if compare else 0)
+    assert err == ("comparison failure: no point was compared\n" if compare else "")
     _, (row,) = parse_csv(out)
     assert row["status"] == "skipped: Gauss curvature K is not finite"
 

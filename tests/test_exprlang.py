@@ -13,12 +13,12 @@ from pbcurv.exprlang import (
     PowConst,
     Variable,
     eval_jet,
-    eval_value,
     parse_expression,
-    to_source,
     tokenize,
 )
 from pbcurv.surfaces import CATALOG
+
+from helpers import eval_value
 
 
 def test_tokenize_basic():
@@ -161,15 +161,22 @@ def test_eval_value_matches_eval_jet():
             assert jet == pytest.approx(plain, rel=1e-15, abs=1e-15)
 
 
-def test_round_trip_catalog():
-    sources = [c for spec in CATALOG.values() for c in spec.coords]
-    sources += ["-(u + v)^2", "1/(2 + cos(u))", "u^(-2)", "-sin(u)*-v"]
-    for src in sources:
-        ast = parse_expression(src)
-        printed = to_source(ast)
-        assert parse_expression(printed) == ast, printed
-
-
 def test_call_structure():
     ast = parse_expression("sin(u + v)")
     assert ast == Call("sin", BinOp("+", Variable("u"), Variable("v")))
+
+
+@pytest.mark.parametrize(
+    "source, tree",
+    [
+        ("-(u + v)^2", Neg(PowConst(BinOp("+", Variable("u"), Variable("v")), 2.0))),
+        (
+            "1/(2 + cos(u))",
+            BinOp("/", Constant(1.0), BinOp("+", Constant(2.0), Call("cos", Variable("u")))),
+        ),
+        ("u^(-2)", PowConst(Variable("u"), -2.0)),
+        ("-sin(u)*-v", BinOp("*", Neg(Call("sin", Variable("u"))), Neg(Variable("v")))),
+    ],
+)
+def test_grouping_and_signs_parse_to_their_tree(source, tree):
+    assert parse_expression(source) == tree

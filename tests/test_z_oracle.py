@@ -86,7 +86,7 @@ def normal_frame_from_zmat(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     vectors gives the normals; their signs carry the factor delta_sign.
     """
     vecs, signs = looped_orthonormalize(
-        zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8, drop_tol=1e-8
+        zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8
     )
     assert vecs.shape[0] == sig.codim
     normals = vecs @ zd.Z_upper

@@ -129,15 +129,28 @@ class BracketTable:
     """All coordinate brackets at one point.
 
     P[i, j] = {x^i, x^j} = (e_u ^ e_v)[i, j] / rho, with parameter gradient
-    Pgrad[i, j, a] and density jet rho; T caches nested_bracket_tensor.
-    P and Pgrad are exactly antisymmetric in (i, j): each is a difference
-    of an array and its transpose, and fl(a - b) = -fl(b - a).
+    Pgrad[i, j, a] and density jet rho; T caches
+    nested_bracket_tensor(table, emb, scale), the nested brackets times
+    scale^2, for the K and H contractions.  P and Pgrad are exactly
+    antisymmetric in (i, j): each is a difference of an array and its
+    transpose, and fl(a - b) = -fl(b - a).
     """
 
     P: np.ndarray
     Pgrad: np.ndarray
     rho: Jet1
     T: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def scale(self) -> float:
+        """The power of two s with |rho / s| in [1/2, 1).
+
+        P scales like 1 / rho and the nested brackets like 1 / rho^2, so
+        P * s and T * s^2 keep the size they have at rho = 1, and
+        (rho / s)^4 cannot overflow.  Scaling by a power of two is exact,
+        so K and H do not change.
+        """
+        return math.ldexp(1.0, math.frexp(self.rho.value)[1])
 
 
 def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
@@ -146,9 +159,10 @@ def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> Bracke
     With A = e_u (x) e_v and B[i, j, a] = d_a e_u^i e_v^j + e_u^i d_a e_v^j,
     w = A - A^T and dw = B - B^T are the bracket numerators and their
     gradients; P = w / rho and Pgrad = dw / rho - w d(rho) / rho^2, the
-    expression poisson_bracket evaluates for one pair.  T scales like
-    1 / rho^2, so it loses its digits once |rho| passes 2^500, about 3e150,
-    or drops below 2^-500; such a density raises NonFiniteCurvatureError.
+    expression poisson_bracket evaluates for one pair.  rho^2 leaves the
+    float range once |rho| passes 2^512 or drops below 2^-512, so a
+    density beyond 2^500, about 3e150, or below 2^-500 raises
+    NonFiniteCurvatureError.
     """
     rho = density_jet(rho_choice, emb)
     rv = _density_value(rho)
@@ -163,20 +177,62 @@ def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> Bracke
     return BracketTable(w / rv, dw / rv - w[:, :, None] * rho.grad / (rv * rv), rho)
 
 
-def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
-    """T[i, k, l] = {x^i, {x^k, x^l}} for all coordinate triples."""
-    rv = table.rho.value
+def nested_bracket_tensor(
+    table: BracketTable, emb: EmbeddingEval, s: float = 1.0
+) -> np.ndarray:
+    """T[i, k, l] = {x^i, {x^k, x^l}} * s^2 for all coordinate triples.
+
+    s, a power of two, multiplies Pgrad and divides rho before they meet,
+    so T * s^2 is formed without T, which leaves the float range for a
+    density far from 1.  Where T is a normal float the result is T * s^2
+    bit for bit.
+    """
+    rv = table.rho.value / s
     e = emb.e
+    Pgrad = table.Pgrad * s
     return (
-        np.einsum("i,kl->ikl", e[0], table.Pgrad[:, :, 1])
-        - np.einsum("i,kl->ikl", e[1], table.Pgrad[:, :, 0])
+        np.einsum("i,kl->ikl", e[0], Pgrad[:, :, 1])
+        - np.einsum("i,kl->ikl", e[1], Pgrad[:, :, 0])
     ) / rv
 
 
 def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
+    """T * s^2 at s = table.scale, built once per table and range-checked."""
     if table.T is None:
-        table.T = nested_bracket_tensor(table, emb)
+        T = nested_bracket_tensor(table, emb, table.scale)
+        _ensure_no_underflow(table, emb, T)
+        table.T = T
     return table.T
+
+
+# Below 2^-969 a product can be off by 2^-1075 to underflow, more than
+# eps^2 of its size.
+_UNDERFLOW_EXP = -969
+
+
+def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval, T: np.ndarray) -> None:
+    """Fail closed where the products behind K and H underflow.
+
+    The table forms e e / rho, x_ab e / rho and e e d(rho) / rho^2; T is
+    e Pgrad s^2 / rho; the Gauss sum multiplies T T and the mean sum
+    (P s) T (P s).  Their sizes depend on the surface's size and
+    parametrisation as well as on rho, and an underflowed product can
+    vanish and leave a finite, wrong K or H.  Each bound below is the
+    lowest binary exponent the largest such product can have; a zero
+    factor (exponent inf) makes the product exactly zero, which loses
+    nothing.
+    """
+    r = math.frexp(table.rho.value)[1]  # s = 2^r, 1 / |rho| > 2^-r
+    e, x, g, pg, p, t = (
+        math.frexp(top)[1] - 1 if top else math.inf
+        for top in (
+            abs(a).max() for a in (emb.e, emb.xdd, table.rho.grad, table.Pgrad, table.P, T)
+        )
+    )
+    p += r  # P * s
+    bounds = (2 * e - r, x + e - r, 2 * e + g - 2 * r, e + pg + r, 2 * t, p + t, 2 * p + t)
+    if min(bounds) < _UNDERFLOW_EXP:
+        raise NonFiniteCurvatureError("bracket products underflow the float range")
 
 
 # --- Frames with parameter derivatives ----------------------------------
@@ -267,9 +323,14 @@ def frame_with_derivatives(build, at: tuple[float, float], sig: AmbientSignature
     return FrameField(center.vectors, grads, center.sigma)
 
 
-def s_operator(table: BracketTable, emb: EmbeddingEval, frame: FrameField) -> np.ndarray:
-    """S[A, i, j] = {x^i, N_A^j} for every frame vector."""
-    rv = table.rho.value
+def s_operator(
+    table: BracketTable, emb: EmbeddingEval, frame: FrameField, s: float = 1.0
+) -> np.ndarray:
+    """S[A, i, j] = {x^i, N_A^j} * s for every frame vector.
+
+    s is a power of two that divides rho, as in nested_bracket_tensor.
+    """
+    rv = table.rho.value / s
     e = emb.e
     return (
         np.einsum("i,Aj->Aij", e[0], frame.grads[:, :, 1])
@@ -305,10 +366,13 @@ def gauss_via_frame(
     met: InducedMetric,
     frame: FrameField,
 ) -> float:
-    """Gauss curvature from brackets of coordinates against a frame."""
-    S = s_operator(table, emb, frame)
-    traces = s2_traces(emb.sig, S)
-    rv = table.rho.value
+    """Gauss curvature from brackets of coordinates against a frame.
+
+    S is taken at table.scale, so S^2 keeps its digits for any density.
+    """
+    s = table.scale
+    traces = s2_traces(emb.sig, s_operator(table, emb, frame, s))
+    rv = table.rho.value / s
     return float(-(rv * rv) / (2.0 * met.det_g) * np.sum(frame.sigma * traces))
 
 
@@ -318,10 +382,10 @@ def mean_via_frame(
     met: InducedMetric,
     frame: FrameField,
 ) -> np.ndarray:
-    """Mean curvature vector from brackets against a frame."""
-    S = s_operator(table, emb, frame)
-    traces = ps_traces(table, emb.sig, S)
-    rv = table.rho.value
+    """Mean curvature vector from brackets against a frame, at table.scale."""
+    s = table.scale
+    traces = ps_traces(table, emb.sig, s_operator(table, emb, frame, s)) * s
+    rv = table.rho.value / s
     weights = (rv * rv) / (2.0 * met.det_g) * frame.sigma * traces
     return np.einsum("A,Ai->i", weights, frame.vectors)
 
@@ -499,7 +563,7 @@ def _gauss_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) ->
     c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
     left = _int_times(c, T[i, k, l])
     acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
-    rv = table.rho.value
+    rv = table.rho.value / table.scale
     return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
 
 
@@ -508,9 +572,10 @@ def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> 
     sig = emb.sig
     m = sig.m
     T = _nested(table, emb)
+    P = table.P * table.scale
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
-    W = gb[:, None] * table.P * gb[None, :]
+    G = np.einsum("ij,j,jrn->irn", P, gb, T)
+    W = gb[:, None] * P * gb[None, :]
     D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
     k, i, r, n, a, b = np.nonzero(D)
     left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
@@ -519,7 +584,7 @@ def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> 
     out = np.array(
         [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
     )
-    rv = table.rho.value
+    rv = table.rho.value / table.scale
     factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
     return factor * out
 
@@ -607,19 +672,6 @@ def _mean_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[:, :, 0], idx[:, :, 1]
 
 
-def _rho_scale(table: BracketTable) -> tuple[float, float]:
-    """rho and the power of two s with |rho / s| in [1/2, 1).
-
-    P scales like 1 / rho and T like 1 / rho^2, so P * s and T * s * s
-    stay near the size they have at rho = 1, and (rho / s)^4 cannot
-    overflow: a constant density far from 1 leaves K and H finite.
-    Scaling by a power of two is exact, so K and H do not change.  s * s
-    is never formed; it overflows for rho above about 1e154.
-    """
-    rv = table.rho.value
-    return rv, math.ldexp(1.0, math.frexp(rv)[1])
-
-
 def gauss_full_from_table(
     table: BracketTable, emb: EmbeddingEval, met: InducedMetric
 ) -> float:
@@ -632,13 +684,13 @@ def gauss_full_from_table(
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    rv, s = _rho_scale(table)
-    Tf = (_nested(table, emb) * s * s).ravel()
+    rv = table.rho.value / table.scale
+    Tf = _nested(table, emb).ravel()
     left, right, w = _gauss_terms(sig)
     # w is a signed power of two, so w * T is exact
     acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
     try:
-        k = -((rv / s) ** 4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
+        k = -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
     except OverflowError:  # det g^2 leaves the float range
         k = math.nan
     if not math.isfinite(k):
@@ -658,15 +710,16 @@ def mean_full_from_table(
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    rv, s = _rho_scale(table)
+    s = table.scale
+    rv = table.rho.value / s
     P = table.P * s
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", P, gb, _nested(table, emb) * s * s)
+    G = np.einsum("ij,j,jrn->irn", P, gb, _nested(table, emb))
     W = gb[:, None] * P * gb[None, :]
     left, right = _mean_terms(m)
     out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
     try:
-        factor = (rv / s) ** 4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
+        factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
     except OverflowError:  # det g^2 leaves the float range
         factor = math.nan
     out = factor * out

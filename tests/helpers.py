@@ -39,6 +39,19 @@ def interior_points(spec: SurfaceSpec, grid=(8, 8)):
     return [(u, v) for _, _, u, v in grid_points(spec, grid)]
 
 
+def arc_sphere(radius: str) -> str:
+    """Config text: the sphere of this radius in parameters scaled by it.
+
+    e ~ 1 and x_ab ~ 1 / radius, so K = radius^-2 while det g stays near 1.
+    """
+    r = float(radius)
+    x = [f"{radius}*sin(u/{radius})*cos(v/{radius})", f"{radius}*sin(u/{radius})*sin(v/{radius})"]
+    return (
+        f'm = 3\nnu = 0\ncoords = ["{x[0]}", "{x[1]}", "{radius}*cos(u/{radius})"]\n'
+        f"domain = [{0.3 * r!r}, {2.8 * r!r}, {0.1 * r!r}, {6.0 * r!r}]\n"
+    )
+
+
 def midpoint(spec: SurfaceSpec):
     """A generic off-axis point inside the domain."""
     u0, u1, v0, v1 = spec.domain

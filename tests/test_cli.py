@@ -18,6 +18,8 @@ from pbcurv.errors import ConfigError, DegenerateMetricError
 from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
+from helpers import arc_sphere
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -416,11 +418,39 @@ def test_constant_density_far_from_one_keeps_k_finite(rho, compare, capsys):
     assert rows and all(abs(row["K_full"] - 1.0) <= 1e-12 for row in rows)
 
 
+@pytest.mark.parametrize("rho", ["1e150", "1e-150"])
+@pytest.mark.parametrize("radius", ["1e10", "1e100"])
+def test_large_sphere_at_extreme_density_keeps_its_digits(radius, rho, tmp_path, capsys):
+    # the nested brackets scale like 1 / (radius rho^2) here, and the
+    # frame brackets like 1 / (radius rho): formed at rho = 1e150 without
+    # the density scale, they underflow and K_full and K_frame read 0
+    cfg = tmp_path / "arc.surface"
+    cfg.write_text(arc_sphere(radius))
+    argv = ["curvature", str(cfg), "--grid", "3x3", "--rho", f"expr:{rho}", "--compare"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    _, (row,) = parse_csv(out)
+    k = float(radius) ** -2  # relative to k: K is far below 1
+    assert abs(row["K_full"] - k) <= 1e-12 * k and abs(row["K_frame"] - k) <= 1e-12 * k
+
+
+@pytest.mark.parametrize("rho", ["1", "1e150"])
+def test_bracket_products_below_the_float_range_exit_three(rho, tmp_path, capsys):
+    # at radius 1e160 the Gauss sum multiplies nested brackets of about
+    # 1e-160: their products underflow, so K would come out 0 or subnormal
+    cfg = tmp_path / "arc.surface"
+    cfg.write_text(arc_sphere("1e160"))
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", "--rho", f"expr:{rho}"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.endswith("bracket products underflow the float range\n")
+
+
 @pytest.mark.parametrize("rho", ["1e200", "1e-200"])
 @pytest.mark.parametrize("command", ["curvature", "invariants"])
 def test_constant_density_beyond_the_float_range_exit_three(command, rho, capsys):
-    # T ~ 1 / rho^2 leaves the float range in the table itself, so the point
-    # exits 3 before K, H or a residual divides by it
+    # rho^2 in the table's Pgrad leaves the float range, so the point exits
+    # 3 before K, H or a residual divides by it
     code, out, err = run_cli([command, "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"], capsys)
     assert code == 3
     assert out == ""

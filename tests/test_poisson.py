@@ -47,10 +47,11 @@ from pbcurv.poisson import (
     weingarten_frame,
     zmap_invariants,
 )
-from pbcurv.surfaces import CATALOG, load_spec
+from pbcurv.surfaces import CATALOG, load_spec, parse_config
 from pbcurv.tensor import AmbientSignature
 
 from helpers import (
+    arc_sphere,
     clear_of_degeneracy,
     interior_points,
     metric_jets,
@@ -606,6 +607,22 @@ def test_frame_paths_match_full_formulas():
         ffz = _weingarten(emb, met, zframe)
         assert rel(gauss_via_frame(table, emb, met, ffz), k_full) <= 1e-12, name
         assert vec_rel(mean_via_frame(table, emb, met, ffz), h_full) <= 1e-12, name
+
+
+@pytest.mark.parametrize("rho", ["1e150", "1e-150"])
+def test_frame_paths_keep_their_digits_at_extreme_density(rho):
+    # on a sphere of radius 1e10 in parameters scaled by it, S ~ 1e-10 / rho:
+    # taken at rho = 1e150 without the density scale, S S and P S underflow
+    spec = parse_config(arc_sphere("1e10"))
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, midpoint(spec))
+    met = induced_metric(emb)
+    table = build_bracket_table(emb, DensityChoice.from_string(f"expr:{rho}"))
+    k, h = gauss_full_from_table(table, emb, met), mean_full_from_table(table, emb, met)
+    assert abs(k - 1e-20) <= 1e-12 * 1e-20
+    ff = _weingarten(emb, met)
+    assert abs(gauss_via_frame(table, emb, met, ff) - k) <= 1e-12 * k
+    hf = mean_via_frame(table, emb, met, ff)
+    assert np.linalg.norm(hf - h) <= 1e-12 * np.linalg.norm(h)
 
 
 def test_double_trace_scaling():

@@ -199,39 +199,37 @@ def nested_bracket_tensor(
 def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
     """T * s^2 at s = table.scale, built once per table and range-checked."""
     if table.T is None:
-        T = nested_bracket_tensor(table, emb, table.scale)
-        _ensure_no_underflow(table, emb, T)
-        table.T = T
+        _ensure_no_underflow(table, emb)
+        table.T = nested_bracket_tensor(table, emb, table.scale)
     return table.T
 
 
-# Below 2^-969 a product can be off by 2^-1075 to underflow, more than
+# Below 2^-969 an entry can be off by 2^-1075 to underflow, more than
 # eps^2 of its size.
-_UNDERFLOW_EXP = -969
+_UNDERFLOW_LOG2 = -969
 
 
-def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval, T: np.ndarray) -> None:
+def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval) -> None:
     """Fail closed where the products behind K and H underflow.
 
-    The table forms e e / rho, x_ab e / rho and e e d(rho) / rho^2; T is
-    e Pgrad s^2 / rho; the Gauss sum multiplies T T and the mean sum
-    (P s) T (P s).  Their sizes depend on the surface's size and
-    parametrisation as well as on rho, and an underflowed product can
-    vanish and leave a finite, wrong K or H.  Each bound below is the
-    lowest binary exponent the largest such product can have; a zero
-    factor (exponent inf) makes the product exactly zero, which loses
-    nothing.
+    From the largest first and second derivatives e and x_ab, d(rho) and
+    rho, bound log2 of the largest entry of P = e e / rho, of
+    Pgrad = (x_ab e - P d(rho)) / rho, of T s^2 = e Pgrad s^2 / rho and of
+    the Gauss products T T and the mean products (P s) T and (P s) T (P s).
+    These sizes depend on the surface's size and parametrisation as well
+    as on rho, and an underflowed product can vanish and leave a finite,
+    wrong K or H.  A zero factor (log2 = -inf) makes its products exactly
+    zero, which loses nothing.
     """
-    r = math.frexp(table.rho.value)[1]  # s = 2^r, 1 / |rho| > 2^-r
-    e, x, g, pg, p, t = (
-        math.frexp(top)[1] - 1 if top else math.inf
-        for top in (
-            abs(a).max() for a in (emb.e, emb.xdd, table.rho.grad, table.Pgrad, table.P, T)
-        )
-    )
-    p += r  # P * s
-    bounds = (2 * e - r, x + e - r, 2 * e + g - 2 * r, e + pg + r, 2 * t, p + t, 2 * p + t)
-    if min(bounds) < _UNDERFLOW_EXP:
+    gu, gv = table.rho.grad.tolist()
+    tops = (abs(emb.e).max(), abs(emb.xdd).max(), max(abs(gu), abs(gv)), abs(table.rho.value))
+    e, x, g, rho = (math.log2(v) if v else -math.inf for v in tops)
+    r = math.frexp(table.rho.value)[1]  # table.scale = 2^r
+    p = 2 * e - rho
+    pg = max(x + e, p + g) - rho
+    t = e + pg + 2 * r - rho
+    ps = p + r
+    if any(-math.inf < b < _UNDERFLOW_LOG2 for b in (p, pg, 2 * t, ps + t, 2 * ps + t)):
         raise NonFiniteCurvatureError("bracket products underflow the float range")
 
 

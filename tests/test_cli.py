@@ -440,7 +440,8 @@ def test_bracket_products_below_the_float_range_exit_three(rho, tmp_path, capsys
     # 1e-160: their products underflow, so K would come out 0 or subnormal
     cfg = tmp_path / "arc.surface"
     cfg.write_text(arc_sphere("1e160"))
-    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", "--rho", f"expr:{rho}"], capsys)
+    argv = ["curvature", str(cfg), "--grid", "3x3", "--rho", f"expr:{rho}"]
+    code, out, err = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
     assert err.endswith("bracket products underflow the float range\n")

@@ -209,6 +209,12 @@ def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
 _UNDERFLOW_LOG2 = -969
 
 
+def _log2_top(a: np.ndarray) -> float:
+    """log2 of the largest |entry|; -inf for an all-zero array."""
+    top = max(map(abs, a.ravel().tolist()))  # lists beat numpy at this size
+    return math.log2(top) if top else -math.inf
+
+
 def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval) -> None:
     """Fail closed where the products behind K and H underflow.
 
@@ -221,10 +227,9 @@ def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval) -> None:
     wrong K or H.  A zero factor (log2 = -inf) makes its products exactly
     zero, which loses nothing.
     """
-    gu, gv = table.rho.grad.tolist()
-    tops = (abs(emb.e).max(), abs(emb.xdd).max(), max(abs(gu), abs(gv)), abs(table.rho.value))
-    e, x, g, rho = (math.log2(v) if v else -math.inf for v in tops)
-    r = math.frexp(table.rho.value)[1]  # table.scale = 2^r
+    rv = table.rho.value
+    r, rho = math.frexp(rv)[1], math.log2(abs(rv))  # table.scale = 2^r
+    e, x, g = _log2_top(emb.e), _log2_top(emb.xdd), _log2_top(table.rho.grad)
     p = 2 * e - rho
     pg = max(x + e, p + g) - rho
     t = e + pg + 2 * r - rho

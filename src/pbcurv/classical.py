@@ -9,11 +9,13 @@ bracket-based module is checked against these values.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMetricError, FrameConstructionError
+from .errors import DegenerateMetricError, FrameConstructionError, NonFiniteCurvatureError
 from .exprlang import Ast, eval_jet
 from .jets import Jet1, Jet2
 from .tensor import AmbientSignature
@@ -30,7 +32,8 @@ class EmbeddingEval:
 
     x holds the m coordinate jets; e[a, i] and xdd[i, a, b] are views of
     their gradient and Hessian slots, so tangents and second derivatives
-    are consistent with the jets by construction.
+    are consistent with the jets by construction.  l and p are 0 unless
+    the point is normalised (see normalised).
     """
 
     sig: AmbientSignature
@@ -38,6 +41,8 @@ class EmbeddingEval:
     at: tuple[float, float]
     e: np.ndarray = field(init=False)
     xdd: np.ndarray = field(init=False)
+    l: int = 0
+    p: int = 0
 
     def __post_init__(self) -> None:
         if len(self.x) != self.sig.m:
@@ -49,7 +54,44 @@ class EmbeddingEval:
 
     @property
     def values(self) -> np.ndarray:
-        return np.array([jet.value for jet in self.x])
+        return np.ldexp(np.array([jet.value for jet in self.x]), self.l)
+
+    def normalised(self) -> EmbeddingEval:
+        """The same point moved to unit size by exact powers of two.
+
+        With E and X the frexp exponents of max|e| and max|x_ab| (X = E
+        where x_ab = 0), the result is 2^l x in the parameters 2^p (u, v),
+        l = X - 2E and p = X - E: e' = 2^-E e and x'_ab = 2^-X x_ab, both
+        with their largest entry in [1/2, 1).  K and H are homogeneous,
+        so K' = 2^-2l K and H' = 2^-l H, and unscale_gauss and
+        unscale_mean take them back.  The jets in x are not rescaled.
+        """
+        E = math.frexp(max(map(abs, self.e.ravel().tolist())))[1]
+        top = max(map(abs, self.xdd.ravel().tolist()))
+        X = math.frexp(top)[1] if top else E
+        out = object.__new__(EmbeddingEval)  # copy.copy, at a quarter of its cost
+        out.__dict__.update(vars(self), e=np.ldexp(self.e, -E), xdd=np.ldexp(self.xdd, -X))
+        out.l, out.p = self.l + X - 2 * E, self.p + X - E
+        return out
+
+    def unscale_gauss(self, k: float) -> float:
+        """K of the evaluated surface from K' of this point: 2^2l K'."""
+        return _unscaled(k, 2 * self.l, "Gauss curvature K")
+
+    def unscale_mean(self, h: np.ndarray) -> np.ndarray:
+        """H of the evaluated surface from H' of this point: 2^l H'."""
+        return np.array([_unscaled(x, self.l, "mean curvature vector H") for x in h.tolist()])
+
+
+def _unscaled(x: float, n: int, name: str) -> float:
+    """2^n x, failing closed where that leaves the float range."""
+    try:
+        y = math.ldexp(x, n)
+    except OverflowError:
+        raise NonFiniteCurvatureError(f"{name} is not finite") from None
+    if abs(y) < sys.float_info.min <= abs(x):
+        raise NonFiniteCurvatureError("bracket products underflow the float range")
+    return y
 
 
 def evaluate_embedding(

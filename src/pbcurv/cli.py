@@ -175,15 +175,17 @@ def _record(
     "plain": K and H; "compare": the --compare columns, plus "oracle_res",
     the K/H residual against the classical oracle that the gate reads;
     "invariants": the invariants rows, plus ind_g and sigma for the header.
+    Every stage runs on the normalised point, so residuals are relative
+    at any scale; only the printed K and H are scaled back.
     """
-    emb = evaluate_embedding(spec.signature, spec.coord_asts, at)
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, at).normalised()
     met = induced_metric(emb)
     table = build_bracket_table(emb, rho)
     record: dict[str, object] = {"u": at[0], "v": at[1], "status": "ok"}
     if level != "invariants":
         k_full, h_full = _kh(table, emb, met)
-        record["K_full"] = k_full
-        record.update({f"H_full_{i}": float(x) for i, x in enumerate(h_full, start=1)})
+        record["K_full"] = emb.unscale_gauss(k_full)
+        record.update({f"H_full_{i}": x for i, x in enumerate(emb.unscale_mean(h_full), 1)})
         if level == "plain":
             return record
     frame = classical_normal_frame(emb, met)
@@ -199,9 +201,9 @@ def _record(
         res["rho_independence"] = _kh_spread([_kh(t, emb, met) for t in tables])
         return {**record, **res, "ind_g": met.ind_g, "sigma": sorted(frame.sigma.tolist())}
     k_oracle, h_oracle = classical_gauss(met, frame, h), classical_mean(met, frame, h)
-    record["K_frame"] = gauss_via_frame(table, emb, met, ff)
-    record["K_oracle"] = k_oracle
-    record.update({f"H_oracle_{i}": float(x) for i, x in enumerate(h_oracle, start=1)})
+    record["K_frame"] = emb.unscale_gauss(gauss_via_frame(table, emb, met, ff))
+    record["K_oracle"] = emb.unscale_gauss(k_oracle)
+    record.update({f"H_oracle_{i}": x for i, x in enumerate(emb.unscale_mean(h_oracle), 1)})
     record.update({column: res[key] for column, key in _COMPARE_RESIDUALS.items()})
     alt = DensityChoice.unit() if rho.kind != "unit" else DensityChoice.sqrt_abs_g()
     kh_alt = _kh(build_bracket_table(emb, alt), emb, met)

@@ -88,7 +88,10 @@ class DensityChoice:
 
 
 def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
-    """Evaluate the density with its parameter gradient at emb's point."""
+    """Evaluate the density with its gradient in emb's parameters.
+
+    An expression is evaluated at emb.at, and its gradient times 2^-p.
+    """
     if choice.kind == "unit":
         return Jet1.constant(1.0)
     if choice.kind == "sqrt_abs_g":
@@ -97,7 +100,7 @@ def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
     rho = eval_jet(choice.expr, emb.at).lower()
     if abs(rho.value) <= DENOM_FLOOR:
         raise ZeroDensityError(f"density {choice.source!r} vanishes")
-    return rho
+    return Jet1(rho.value, np.ldexp(rho.grad, -emb.p))
 
 
 # --- Brackets -----------------------------------------------------------
@@ -130,27 +133,15 @@ class BracketTable:
 
     P[i, j] = {x^i, x^j} = (e_u ^ e_v)[i, j] / rho, with parameter gradient
     Pgrad[i, j, a] and density jet rho; T caches
-    nested_bracket_tensor(table, emb, scale), the nested brackets times
-    scale^2, for the K and H contractions.  P and Pgrad are exactly
-    antisymmetric in (i, j): each is a difference of an array and its
-    transpose, and fl(a - b) = -fl(b - a).
+    nested_bracket_tensor(table, emb) for the K and H contractions.  P and
+    Pgrad are exactly antisymmetric in (i, j): each is a difference of an
+    array and its transpose, and fl(a - b) = -fl(b - a).
     """
 
     P: np.ndarray
     Pgrad: np.ndarray
     rho: Jet1
     T: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    @property
-    def scale(self) -> float:
-        """The power of two s with |rho / s| in [1/2, 1).
-
-        P scales like 1 / rho and the nested brackets like 1 / rho^2, so
-        P * s and T * s^2 keep the size they have at rho = 1, and
-        (rho / s)^4 cannot overflow.  Scaling by a power of two is exact,
-        so K and H do not change.
-        """
-        return math.ldexp(1.0, math.frexp(self.rho.value)[1])
 
 
 def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
@@ -159,15 +150,15 @@ def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> Bracke
     With A = e_u (x) e_v and B[i, j, a] = d_a e_u^i e_v^j + e_u^i d_a e_v^j,
     w = A - A^T and dw = B - B^T are the bracket numerators and their
     gradients; P = w / rho and Pgrad = dw / rho - w d(rho) / rho^2, the
-    expression poisson_bracket evaluates for one pair.  rho^2 leaves the
-    float range once |rho| passes 2^512 or drops below 2^-512, so a
-    density beyond 2^500, about 3e150, or below 2^-500 raises
-    NonFiniteCurvatureError.
+    expression poisson_bracket evaluates for one pair.  K and H do not
+    depend on rho, so the table uses rho times the power of two that puts
+    |rho| in [1/2, 1): exact, and no density can push rho^2 out of the
+    float range.  The brackets are formed at the scale of emb, as given.
     """
     rho = density_jet(rho_choice, emb)
-    rv = _density_value(rho)
-    if abs(math.frexp(rv)[1]) > 500:
-        raise NonFiniteCurvatureError(f"nested brackets leave the float range at rho = {rv!r}")
+    c = -math.frexp(_density_value(rho))[1]
+    rho = Jet1(math.ldexp(rho.value, c), np.ldexp(rho.grad, c))
+    rv = rho.value
     eu, ev = emb.e
     xdd = emb.xdd
     A = np.multiply.outer(eu, ev)
@@ -177,65 +168,21 @@ def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> Bracke
     return BracketTable(w / rv, dw / rv - w[:, :, None] * rho.grad / (rv * rv), rho)
 
 
-def nested_bracket_tensor(
-    table: BracketTable, emb: EmbeddingEval, s: float = 1.0
-) -> np.ndarray:
-    """T[i, k, l] = {x^i, {x^k, x^l}} * s^2 for all coordinate triples.
-
-    s, a power of two, multiplies Pgrad and divides rho before they meet,
-    so T * s^2 is formed without T, which leaves the float range for a
-    density far from 1.  Where T is a normal float the result is T * s^2
-    bit for bit.
-    """
-    rv = table.rho.value / s
+def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
+    """T[i, k, l] = {x^i, {x^k, x^l}} for all coordinate triples."""
+    rv = table.rho.value
     e = emb.e
-    Pgrad = table.Pgrad * s
     return (
-        np.einsum("i,kl->ikl", e[0], Pgrad[:, :, 1])
-        - np.einsum("i,kl->ikl", e[1], Pgrad[:, :, 0])
+        np.einsum("i,kl->ikl", e[0], table.Pgrad[:, :, 1])
+        - np.einsum("i,kl->ikl", e[1], table.Pgrad[:, :, 0])
     ) / rv
 
 
 def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
-    """T * s^2 at s = table.scale, built once per table and range-checked."""
+    """nested_bracket_tensor, built once per table."""
     if table.T is None:
-        _ensure_no_underflow(table, emb)
-        table.T = nested_bracket_tensor(table, emb, table.scale)
+        table.T = nested_bracket_tensor(table, emb)
     return table.T
-
-
-# Below 2^-969 an entry can be off by 2^-1075 to underflow, more than
-# eps^2 of its size.
-_UNDERFLOW_LOG2 = -969
-
-
-def _log2_top(a: np.ndarray) -> float:
-    """log2 of the largest |entry|; -inf for an all-zero array."""
-    top = max(map(abs, a.ravel().tolist()))  # lists beat numpy at this size
-    return math.log2(top) if top else -math.inf
-
-
-def _ensure_no_underflow(table: BracketTable, emb: EmbeddingEval) -> None:
-    """Fail closed where the products behind K and H underflow.
-
-    From the largest first and second derivatives e and x_ab, d(rho) and
-    rho, bound log2 of the largest entry of P = e e / rho, of
-    Pgrad = (x_ab e - P d(rho)) / rho, of T s^2 = e Pgrad s^2 / rho and of
-    the Gauss products T T and the mean products (P s) T and (P s) T (P s).
-    These sizes depend on the surface's size and parametrisation as well
-    as on rho, and an underflowed product can vanish and leave a finite,
-    wrong K or H.  A zero factor (log2 = -inf) makes its products exactly
-    zero, which loses nothing.
-    """
-    rv = table.rho.value
-    r, rho = math.frexp(rv)[1], math.log2(abs(rv))  # table.scale = 2^r
-    e, x, g = _log2_top(emb.e), _log2_top(emb.xdd), _log2_top(table.rho.grad)
-    p = 2 * e - rho
-    pg = max(x + e, p + g) - rho
-    t = e + pg + 2 * r - rho
-    ps = p + r
-    if any(-math.inf < b < _UNDERFLOW_LOG2 for b in (p, pg, 2 * t, ps + t, 2 * ps + t)):
-        raise NonFiniteCurvatureError("bracket products underflow the float range")
 
 
 # --- Frames with parameter derivatives ----------------------------------
@@ -326,14 +273,9 @@ def frame_with_derivatives(build, at: tuple[float, float], sig: AmbientSignature
     return FrameField(center.vectors, grads, center.sigma)
 
 
-def s_operator(
-    table: BracketTable, emb: EmbeddingEval, frame: FrameField, s: float = 1.0
-) -> np.ndarray:
-    """S[A, i, j] = {x^i, N_A^j} * s for every frame vector.
-
-    s is a power of two that divides rho, as in nested_bracket_tensor.
-    """
-    rv = table.rho.value / s
+def s_operator(table: BracketTable, emb: EmbeddingEval, frame: FrameField) -> np.ndarray:
+    """S[A, i, j] = {x^i, N_A^j} for every frame vector."""
+    rv = table.rho.value
     e = emb.e
     return (
         np.einsum("i,Aj->Aij", e[0], frame.grads[:, :, 1])
@@ -369,13 +311,9 @@ def gauss_via_frame(
     met: InducedMetric,
     frame: FrameField,
 ) -> float:
-    """Gauss curvature from brackets of coordinates against a frame.
-
-    S is taken at table.scale, so S^2 keeps its digits for any density.
-    """
-    s = table.scale
-    traces = s2_traces(emb.sig, s_operator(table, emb, frame, s))
-    rv = table.rho.value / s
+    """Gauss curvature from brackets of coordinates against a frame, at emb's scale."""
+    traces = s2_traces(emb.sig, s_operator(table, emb, frame))
+    rv = table.rho.value
     return float(-(rv * rv) / (2.0 * met.det_g) * np.sum(frame.sigma * traces))
 
 
@@ -385,10 +323,9 @@ def mean_via_frame(
     met: InducedMetric,
     frame: FrameField,
 ) -> np.ndarray:
-    """Mean curvature vector from brackets against a frame, at table.scale."""
-    s = table.scale
-    traces = ps_traces(table, emb.sig, s_operator(table, emb, frame, s)) * s
-    rv = table.rho.value / s
+    """Mean curvature vector from brackets against a frame, at emb's scale."""
+    traces = ps_traces(table, emb.sig, s_operator(table, emb, frame))
+    rv = table.rho.value
     weights = (rv * rv) / (2.0 * met.det_g) * frame.sigma * traces
     return np.einsum("A,Ai->i", weights, frame.vectors)
 
@@ -566,7 +503,7 @@ def _gauss_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) ->
     c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
     left = _int_times(c, T[i, k, l])
     acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
-    rv = table.rho.value / table.scale
+    rv = table.rho.value
     return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
 
 
@@ -575,10 +512,9 @@ def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> 
     sig = emb.sig
     m = sig.m
     T = _nested(table, emb)
-    P = table.P * table.scale
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", P, gb, T)
-    W = gb[:, None] * P * gb[None, :]
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
+    W = gb[:, None] * table.P * gb[None, :]
     D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
     k, i, r, n, a, b = np.nonzero(D)
     left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
@@ -587,7 +523,7 @@ def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> 
     out = np.array(
         [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
     )
-    rv = table.rho.value / table.scale
+    rv = table.rho.value
     factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
     return factor * out
 
@@ -683,20 +619,19 @@ def gauss_full_from_table(
     acc = gbar_i gbar_r gbar_n T[i,k,l] T[j,r,n] eps_{jklL} eps^{irnL},
     summed over all indices, reduces to
     (m-3)! (2 gbar_i gbar_r gbar_n T[i,r,n]^2 - 4 gbar_n v_n^2)
-    with v_n = gbar_i T[i,i,n].
+    with v_n = gbar_i T[i,i,n].  K is computed at emb's scale, as given;
+    gauss_full normalises the point first.
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    rv = table.rho.value / table.scale
+    rv = table.rho.value
     Tf = _nested(table, emb).ravel()
     left, right, w = _gauss_terms(sig)
     # w is a signed power of two, so w * T is exact
     acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
-    try:
-        k = -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    except OverflowError:  # det g^2 leaves the float range
-        k = math.nan
-    if not math.isfinite(k):
+    gg = np.float64(met.det_g) ** 2  # libm pow like det_g**2, but inf past the float range
+    k = -(rv**4) * acc / (8.0 * gg * math.factorial(p - 1))
+    if not (math.isfinite(k) and math.isfinite(gg)):
         raise NonFiniteCurvatureError("Gauss curvature K is not finite")
     return k
 
@@ -709,38 +644,36 @@ def mean_full_from_table(
     out_k = G[i,r,n] W[a,b] eps_{irnL} eps^{kabL}, summed over all other
     indices, with G[i,r,n] = gbar_j {x^i, x^j} {x^j, {x^r, x^n}} and
     W[a,b] = gbar_a gbar_b {x^a, x^b}, reduces to
-    2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]).
+    2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]).  H is computed at
+    emb's scale, as given; mean_full normalises the point first.
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    s = table.scale
-    rv = table.rho.value / s
-    P = table.P * s
+    rv = table.rho.value
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", P, gb, _nested(table, emb))
-    W = gb[:, None] * P * gb[None, :]
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, _nested(table, emb))
+    W = gb[:, None] * table.P * gb[None, :]
     left, right = _mean_terms(m)
     out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
-    try:
-        factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
-    except OverflowError:  # det g^2 leaves the float range
-        factor = math.nan
-    out = factor * out
-    if not np.isfinite(out).all():
+    gg = np.float64(met.det_g) ** 2  # libm pow like det_g**2, but inf past the float range
+    out = rv**4 / (8.0 * gg * math.factorial(p - 1)) * out
+    if not (np.isfinite(out).all() and math.isfinite(gg)):
         raise NonFiniteCurvatureError("mean curvature vector H is not finite")
     return out
 
 
 def gauss_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> float:
-    met = induced_metric(emb)
+    """K at emb's point, computed on the normalised point and scaled back."""
+    emb = emb.normalised()
     table = build_bracket_table(emb, rho_choice)
-    return gauss_full_from_table(table, emb, met)
+    return emb.unscale_gauss(gauss_full_from_table(table, emb, induced_metric(emb)))
 
 
 def mean_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> np.ndarray:
-    met = induced_metric(emb)
+    """H at emb's point, computed on the normalised point and scaled back."""
+    emb = emb.normalised()
     table = build_bracket_table(emb, rho_choice)
-    return mean_full_from_table(table, emb, met)
+    return emb.unscale_mean(mean_full_from_table(table, emb, induced_metric(emb)))
 
 
 # --- Scaling behavior of mixed brackets ----------------------------------
@@ -758,14 +691,16 @@ def double_trace_check(
 
     Scaling two normal fields by scalar functions f and h multiplies the
     double trace of the mixed bracket operators by f h pointwise; the
-    derivative terms cancel.  Returns the normalized residual.
+    derivative terms cancel.  f and h are functions of emb's parameters,
+    2^p (u, v) on a normalised point.  Returns the normalized residual.
     """
     sig = emb.sig
     gb = sig.gbar
     rv = table.rho.value
     e = emb.e
-    f = eval_jet(f_ast, emb.at)
-    h = eval_jet(h_ast, emb.at)
+    at = (math.ldexp(emb.at[0], emb.p), math.ldexp(emb.at[1], emb.p))
+    f = eval_jet(f_ast, at)
+    h = eval_jet(h_ast, at)
 
     def scaled_bracket(scalar: Jet2, idx: int) -> np.ndarray:
         nvec = frame.vectors[idx]

@@ -52,6 +52,18 @@ def arc_sphere(radius: str) -> str:
     )
 
 
+def natural_sphere(radius: str) -> str:
+    """Config text: the sphere of this radius in its angle parameters.
+
+    e ~ radius and x_ab ~ radius, so K = radius^-2 and det g ~ radius^4.
+    """
+    x = [f"{radius}*sin(u)*cos(v)", f"{radius}*sin(u)*sin(v)", f"{radius}*cos(u)"]
+    return (
+        f'm = 3\nnu = 0\ncoords = ["{x[0]}", "{x[1]}", "{x[2]}"]\n'
+        "domain = [0.3, 2.8, 0.1, 6.0]\n"
+    )
+
+
 def midpoint(spec: SurfaceSpec):
     """A generic off-axis point inside the domain."""
     u0, u1, v0, v1 = spec.domain

@@ -18,7 +18,7 @@ from pbcurv.errors import ConfigError, DegenerateMetricError
 from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
-from helpers import arc_sphere
+from helpers import arc_sphere, natural_sphere
 
 
 def run_cli(args, capsys):
@@ -408,22 +408,29 @@ def test_compare_gate_passes_over_some_skipped_rows(tmp_path, capsys):
     assert len(statuses) == 9 and statuses.count("ok") == 6
 
 
-@pytest.mark.parametrize("rho", ["1e80", "1e-100", "1e150", "1e-150"])
-@pytest.mark.parametrize("compare", [False, True], ids=["plain", "compare"])
-def test_constant_density_far_from_one_keeps_k_finite(rho, compare, capsys):
-    argv = ["curvature", "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"]
-    code, out, err = run_cli(argv + ["--compare"] * compare, capsys)
+@pytest.mark.parametrize(
+    "rho", ["1e80", "1e-100", "1e150", "1e-150", "1e200", "1e-200", "1e300"]
+)
+@pytest.mark.parametrize("mode", ["plain", "compare", "invariants"])
+def test_constant_density_far_from_one_keeps_k_finite(rho, mode, capsys):
+    # the bracket table scales rho into [1/2, 1) by a power of two
+    command = "invariants" if mode == "invariants" else "curvature"
+    argv = [command, "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"]
+    code, out, err = run_cli(argv + ["--compare"] * (mode == "compare"), capsys)
     assert code == 0, err
+    if mode == "invariants":
+        return
     _, rows = parse_csv(out)
     assert rows and all(abs(row["K_full"] - 1.0) <= 1e-12 for row in rows)
 
 
-@pytest.mark.parametrize("rho", ["1e150", "1e-150"])
+@pytest.mark.parametrize("rho", ["1e150", "1e-150", "1e250"])
 @pytest.mark.parametrize("radius", ["1e10", "1e100"])
 def test_large_sphere_at_extreme_density_keeps_its_digits(radius, rho, tmp_path, capsys):
     # the nested brackets scale like 1 / (radius rho^2) here, and the
     # frame brackets like 1 / (radius rho): formed at rho = 1e150 without
-    # the density scale, they underflow and K_full and K_frame read 0
+    # normalising the point and the density, they underflow and K_full and
+    # K_frame read 0
     cfg = tmp_path / "arc.surface"
     cfg.write_text(arc_sphere(radius))
     argv = ["curvature", str(cfg), "--grid", "3x3", "--rho", f"expr:{rho}", "--compare"]
@@ -432,6 +439,80 @@ def test_large_sphere_at_extreme_density_keeps_its_digits(radius, rho, tmp_path,
     _, (row,) = parse_csv(out)
     k = float(radius) ** -2  # relative to k: K is far below 1
     assert abs(row["K_full"] - k) <= 1e-12 * k and abs(row["K_frame"] - k) <= 1e-12 * k
+
+
+def test_residuals_are_relative_on_small_brackets(tmp_path, capsys):
+    # S ~ 1e-160 at the surface's own scale, so S^2 is subnormal there and
+    # res_satrace read 0; on the normalised point it shows its rounding
+    cfg = tmp_path / "arc.surface"
+    cfg.write_text(arc_sphere("1e10"))
+    argv = ["curvature", str(cfg), "--grid", "3x3", "--rho", "expr:1e150", "--compare"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    _, (row,) = parse_csv(out)
+    assert 0.0 < row["res_satrace"] <= 1e-14
+
+
+@pytest.mark.parametrize("radius", ["1e-3", "1e-10", "1e5", "1e39", "1e100"])
+def test_sphere_far_from_unit_size_passes_compare_and_invariants(radius, tmp_path, capsys):
+    # every stage runs on the point moved to unit size by powers of two:
+    # the metric is not refused as singular below radius 3e-3, and
+    # (det g)^2 does not overflow at radius 1e39
+    cfg = tmp_path / "sphere.surface"
+    cfg.write_text(natural_sphere(radius))
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", "--compare"], capsys)
+    assert code == 0, err
+    _, (row,) = parse_csv(out)
+    k = float(radius) ** -2
+    assert abs(row["K_full"] - k) <= 1e-12 * k and abs(row["K_oracle"] - k) <= 1e-12 * k
+    code, out, err = run_cli(["invariants", str(cfg), "--grid", "3x3"], capsys)
+    assert code == 0, out + err
+
+
+@pytest.mark.parametrize("plant", ["off-by-1e-6", "zero"])
+@pytest.mark.parametrize("radius", ["1e-3", "1e5", "1e39"])
+def test_compare_gate_catches_a_wrong_k_at_any_scale(radius, plant, tmp_path, capsys, monkeypatch):
+    # the gate divides by max(1, |K|): at the surface's own scale K = 1e-10
+    # on the 1e5 sphere, so a K off by 1e-6, or 0, passed
+    cfg = tmp_path / "sphere.surface"
+    cfg.write_text(natural_sphere(radius))
+    argv = ["curvature", str(cfg), "--grid", "3x3", "--compare"]
+    assert run_cli(argv, capsys)[0] == 0
+    gauss = cli.gauss_full_from_table
+    wrong = {"off-by-1e-6": lambda k: k * (1.0 + 1e-6), "zero": lambda k: 0.0}[plant]
+    monkeypatch.setattr(cli, "gauss_full_from_table", lambda *a: wrong(gauss(*a)))
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("comparison failure at (u, v)")
+
+
+def test_compare_gate_catches_density_roundoff_on_a_large_sphere(tmp_path, capsys):
+    # rho = 1 + 0.3 sin(u) varies 1e10 times faster than the surface here,
+    # and the bracket K (about 1e-19) misses K = 1e-20 entirely
+    cfg = tmp_path / "arc.surface"
+    cfg.write_text(arc_sphere("1e10"))
+    argv = ["curvature", str(cfg), "--grid", "3x3", "--rho", "expr:1 + 0.3*sin(u)", "--compare"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("comparison failure at (u, v)")
+    _, (row,) = parse_csv(out)
+    assert abs(row["K_oracle"] - 1e-20) <= 1e-12 * 1e-20
+
+
+def test_invariants_on_large_parameters(tmp_path, capsys):
+    # exp(u) of the double-trace pairs overflowed at u ~ 1e10; f and h now
+    # take the normalised parameters.  The rho_independence row fails,
+    # truthfully: its check density 1 + 0.3 sin(u) varies 1e10 times faster
+    # than the surface, as in the test above
+    cfg = tmp_path / "arc.surface"
+    cfg.write_text(arc_sphere("1e10"))
+    code, out, err = run_cli(["invariants", str(cfg), "--grid", "3x3"], capsys)
+    assert code == 1
+    assert err == ""
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+    assert float(rows["double_trace"][1]) <= 1e-14 and rows["double_trace"][-1] == "PASS"
+    assert rows["rho_independence"][-1] == "FAIL"
+    assert all(rows[key][-1] == "PASS" for key in rows if key != "rho_independence")
 
 
 @pytest.mark.parametrize("rho", ["1", "1e150"])
@@ -445,17 +526,6 @@ def test_bracket_products_below_the_float_range_exit_three(rho, tmp_path, capsys
     assert code == 3
     assert out == ""
     assert err.endswith("bracket products underflow the float range\n")
-
-
-@pytest.mark.parametrize("rho", ["1e200", "1e-200"])
-@pytest.mark.parametrize("command", ["curvature", "invariants"])
-def test_constant_density_beyond_the_float_range_exit_three(command, rho, capsys):
-    # rho^2 in the table's Pgrad leaves the float range, so the point exits
-    # 3 before K, H or a residual divides by it
-    code, out, err = run_cli([command, "sphere", "--grid", "3x3", "--rho", f"expr:{rho}"], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.endswith(f"nested brackets leave the float range at rho = {float(rho)!r}\n")
 
 
 def test_degenerate_metric_message_prints_plain_floats():
@@ -632,7 +702,8 @@ def test_non_finite_frame_candidates_exit_three(args, tmp_path):
     proc = run_module([args[0], str(cfg), "--grid", "3x3", *args[1:]])
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert "induced metric is not finite" in proc.stderr
+    # at unit size g_vv / g_uu is about 1e-388, below the float range
+    assert "induced metric is singular: det g = 0.0" in proc.stderr
 
 
 def test_non_finite_metric_exit_three_or_skipped(tmp_path):
@@ -644,13 +715,13 @@ def test_non_finite_metric_exit_three_or_skipped(tmp_path):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr.startswith("geometric error:")
-    assert "induced metric is not finite" in proc.stderr
+    assert "induced metric is singular: det g = 0.0" in proc.stderr
     assert "Warning" not in proc.stderr
 
     proc = run_module(["curvature", str(cfg), "--grid", "3x3", "--skip-degenerate"])
     assert proc.returncode == 0
     _, (row,) = parse_csv(proc.stdout)
-    assert row["status"].startswith("skipped: induced metric is not finite")
+    assert row["status"].startswith("skipped: induced metric is singular: det g = 0.0")
     assert proc.stderr == ""
 
 
@@ -685,10 +756,7 @@ def test_jet_overflow_prints_no_numpy_warning(coord, message, tmp_path):
     assert message in line
 
 
-BIG_SPHERE = (
-    'm = 3\nnu = 0\ncoords = ["1e39*sin(u)*cos(v)", "1e39*sin(u)*sin(v)", "1e39*cos(u)"]\n'
-    "domain = [0.3, 2.8, 0.1, 6.0]\n"
-)
+TINY_SPHERE = natural_sphere("1e-160")
 
 
 @pytest.mark.parametrize(
@@ -697,19 +765,21 @@ BIG_SPHERE = (
     ids=["curvature", "unit", "compare", "invariants"],
 )
 def test_non_finite_curvature_exit_three_or_skipped(args, tmp_path, capsys):
-    # rho^4 and det g^2 leave the float range at radius 1e39
+    # K = 1e320 leaves the float range at radius 1e-160; the identities,
+    # checked on the normalised point, hold
     cfg = tmp_path / "big.surface"
-    cfg.write_text(BIG_SPHERE)
+    cfg.write_text(TINY_SPHERE)
     argv = [args[0], str(cfg), "--grid", "3x3", *args[1:]]
     code, out, err = run_cli(argv, capsys)
+    if args[0] == "invariants":
+        assert code == 0, err
+        return
     assert code == 3
     assert out == ""
     assert err == (
         "geometric error: at (u, v) = (1.55, 3.0500000000000003): "
         "Gauss curvature K is not finite\n"
     )
-    if args[0] == "invariants":
-        return
     code, out, err = run_cli(argv + ["--skip-degenerate"], capsys)
     compare = "--compare" in args
     assert code == (1 if compare else 0)

@@ -144,9 +144,11 @@ def test_zero_density_rejected():
 
 def test_plane_bracket_table():
     spec, emb, met, table = point_setup("plane", (0.2, 0.3), rho="unit")
+    # the table scales rho = 1 to 1/2, a power of two
+    assert table.rho.value == 0.5
     expected = np.zeros((3, 3))
-    expected[0, 1] = 1.0
-    expected[1, 0] = -1.0
+    expected[0, 1] = 2.0
+    expected[1, 0] = -2.0
     assert np.allclose(table.P, expected, atol=1e-15, rtol=0.0)
     assert np.array_equal(table.P, -table.P.T)
     assert np.abs(table.Pgrad).max() == 0.0
@@ -155,11 +157,14 @@ def test_plane_bracket_table():
 def test_bracket_table_matches_raw_jets():
     for name in ("torus", "de-sitter", "lorentz-graph-r41", "r5-product"):
         spec, emb, met, table = point_setup(name)
+        # table.rho is sqrt|g| times the power of two that puts it in [1/2, 1)
         rho = density_jet(SQRTG, emb)
+        scale = table.rho.value / rho.value
+        assert math.frexp(scale)[0] == 0.5 and np.array_equal(table.rho.grad, scale * rho.grad)
         m = spec.m
         for i in range(m):
             for j in range(m):
-                direct = poisson_bracket(emb.x[i], emb.x[j], rho)
+                direct = poisson_bracket(emb.x[i], emb.x[j], table.rho)
                 assert table.P[i, j] == pytest.approx(
                     direct.value, rel=1e-13, abs=1e-13
                 )
@@ -245,10 +250,12 @@ def test_p2_trace_identity():
     # with rho = sqrt(g) on the unit sphere the trace is exactly -2
     spec, emb, met, table = point_setup("sphere", (0.9, 1.3))
     assert p2_trace(table, spec.signature) == pytest.approx(-2.0, rel=1e-13)
-    # with rho = 1 on the hyperbolic plane it is -2 sinh^2(u) at u = 1
+    # with rho = 1 on the hyperbolic plane it is -2 sinh^2(u) at u = 1; the
+    # table takes rho = 1/2, which multiplies the trace by 4
     spec, emb, met, table = point_setup("hyperbolic-plane", (1.0, 2.1), rho="unit")
+    assert table.rho.value == 0.5
     assert p2_trace(table, spec.signature) == pytest.approx(
-        -2.762195691083631, rel=1e-13
+        4.0 * -2.762195691083631, rel=1e-13
     )
     # general statement: tr P^2 = -2 g / rho^2
     for name in CATALOG:
@@ -588,6 +595,23 @@ def test_rho_independence():
             for b in range(a + 1, len(results)):
                 assert rel(results[a][0], results[b][0]) <= 1e-8, name
                 assert vec_rel(results[a][1], results[b][1]) <= 1e-8, name
+
+
+@pytest.mark.parametrize("rho", ["sqrtg", "unit", "expr:1 + 0.3*sin(u)"])
+def test_normalised_point_gives_the_same_bits(rho):
+    # powers of two scale every term of every sum alike, so gauss_full and
+    # mean_full, which run on the normalised point, equal the raw path
+    density = DensityChoice.from_string(rho)
+    for name, spec in CATALOG.items():
+        emb = evaluate_embedding(spec.signature, spec.coord_asts, midpoint(spec))
+        met = induced_metric(emb)
+        table = build_bracket_table(emb, density)
+        assert gauss_full(emb, density) == gauss_full_from_table(table, emb, met), name
+        assert np.array_equal(mean_full(emb, density), mean_full_from_table(table, emb, met)), name
+        unit = emb.normalised()
+        assert 0.5 <= np.abs(unit.e).max() < 1.0, name
+        x_top = np.abs(unit.xdd).max()  # 0 on the plane
+        assert x_top == 0.0 or 0.5 <= x_top < 1.0, name
 
 
 def test_frame_paths_match_full_formulas():

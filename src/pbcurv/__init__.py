@@ -30,7 +30,7 @@ from .poisson import (
     zmap_invariants,
 )
 from .surfaces import CATALOG, SurfaceSpec, load_spec
-from .tensor import AmbientSignature, eps_contract_naive
+from .tensor import AmbientSignature
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "classical_gauss",
     "classical_mean",
     "classical_normal_frame",
-    "eps_contract_naive",
     "evaluate_embedding",
     "gauss_full",
     "gauss_via_frame",

@@ -84,12 +84,15 @@ class EmbeddingEval:
 
 
 def _unscaled(x: float, n: int, name: str) -> float:
-    """2^n x, failing closed where that leaves the float range."""
+    """2^n x, failing closed where that leaves the float range.
+
+    A nonzero x whose 2^n x is subnormal or zero fails; exact zeros pass.
+    """
     try:
         y = math.ldexp(x, n)
     except OverflowError:
         raise NonFiniteCurvatureError(f"{name} is not finite") from None
-    if abs(y) < sys.float_info.min <= abs(x):
+    if abs(y) < sys.float_info.min and x != 0.0:
         raise NonFiniteCurvatureError("bracket products underflow the float range")
     return y
 

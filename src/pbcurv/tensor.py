@@ -5,8 +5,8 @@ but three slots: eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl}.
 Production code (poisson.gauss_full_from_table and mean_full_from_table)
 applies this identity to whole (m, m, m) tensors.  eps_contract_naive
 sums the left side over every multi-index on plain integers; it feeds
-the brute-force oracles poisson._gauss_naive and _mean_naive.  The
-tests keep the scalar closed form and the symbol itself as oracles.
+the brute-force oracles gauss_naive and mean_naive in tests/helpers.py.
+The tests keep the scalar closed form and the symbol itself as oracles.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,9 +17,15 @@ from pbcurv.classical import (
 from pbcurv.errors import EvalError
 from pbcurv.exprlang import Ast, BinOp, Call, Constant, Neg, PowConst, Variable
 from pbcurv.jets import DENOM_FLOOR, Jet1, Jet2
-from pbcurv.poisson import DensityChoice, build_bracket_table
+from pbcurv.poisson import BracketTable, DensityChoice, build_bracket_table, nested_bracket_tensor
 from pbcurv.surfaces import CATALOG, SurfaceSpec, grid_points
-from pbcurv.tensor import AmbientSignature, _validate_indices, permutation_sign
+from pbcurv.tensor import (
+    AmbientSignature,
+    _validate_indices,
+    ensure_within_cap,
+    eps_contract_naive,
+    permutation_sign,
+)
 
 
 def rel(a: float, b: float) -> float:
@@ -255,3 +262,69 @@ def eps_contract_reduced(jkl: tuple[int, int, int], irn: tuple[int, int, int], m
         + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
     )
     return math.factorial(m - 3) * det
+
+
+def naive_symbol_pairs(m: int) -> np.ndarray:
+    """D[j, k, l, i, r, n] = sum over L of eps_{jklL} eps^{irnL}, one call per pair."""
+    ensure_within_cap(m, "the brute-force symbol contraction")
+    D = np.zeros((m,) * 6)
+    triples = list(itertools.permutations(range(1, m + 1), 3))
+    for jkl in triples:
+        for irn in triples:
+            D[tuple(a - 1 for a in jkl + irn)] = eps_contract_naive(jkl, irn, m)
+    return D
+
+
+def gauss_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> float:
+    """Oracle for pbcurv.poisson.gauss_full_from_table: the symbol contraction in full."""
+    sig = emb.sig
+    gb = sig.gbar
+    T = nested_bracket_tensor(table, emb)
+    D = naive_symbol_pairs(sig.m)
+    acc = float(np.einsum("jklirn,i,r,n,ikl,jrn->", D, gb, gb, gb, T, T))
+    rv = table.rho.value
+    return -(rv**4) * acc / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1))
+
+
+def mean_naive(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
+    """Oracle for pbcurv.poisson.mean_full_from_table: the symbol contraction in full."""
+    sig = emb.sig
+    gb = sig.gbar
+    T = nested_bracket_tensor(table, emb)
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
+    W = gb[:, None] * table.P * gb[None, :]
+    out = np.einsum("irnkab,irn,ab->k", naive_symbol_pairs(sig.m), G, W)
+    rv = table.rho.value
+    return rv**4 / (8.0 * met.det_g**2 * math.factorial(sig.codim - 1)) * out
+
+
+def error_scales(
+    table: BracketTable, emb: EmbeddingEval, met: InducedMetric, k_ref: float, h_ref: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """S_K and S_H[k]: errors of one eps in the bracket path's inputs move K and H this much.
+
+    With pref = rho^4 / (8 (det g)^2 (p-1)!), the sums of |terms| are
+    S_K = pref (m-3)! (2 sum T^2 + 4 sum_n (sum_i |T[i,i,n]|)^2) and
+    S_H[k] = pref 4 (m-3)! (1/2 sum_rn |G[k,r,n] W[r,n]| + sum_ir |G[i,r,k] W[i,r]|).
+    det g also cancels: its relative error is up to kappa eps, with
+    kappa = (|g|_00 |g|_11 + |g|_01^2) / |det g| and |g|_ab = sum_i |e_a^i e_b^i|,
+    and K and H divide by (det g)^2, so each scale adds 2 kappa |K*| or
+    2 kappa |H*[k]|.  Near a degenerate metric this term dominates.
+    """
+    sig = emb.sig
+    m, p = sig.m, sig.codim
+    gb = sig.gbar
+    rv = table.rho.value
+    T = nested_bracket_tensor(table, emb)
+    G = np.einsum("ij,j,jrn->irn", table.P, gb, T)
+    W = gb[:, None] * table.P * gb[None, :]
+    pref = rv**4 / (8.0 * met.det_g**2 * math.factorial(p - 1))
+    diag = np.abs(np.einsum("iin->in", T)).sum(axis=0)
+    s_k = pref * math.factorial(m - 3) * (2.0 * np.sum(T * T) + 4.0 * np.sum(diag * diag))
+    s_h = pref * 4.0 * math.factorial(m - 3) * (
+        0.5 * np.einsum("krn,rn->k", np.abs(G), np.abs(W))
+        + np.einsum("irk,ir->k", np.abs(G), np.abs(W))
+    )
+    ga = np.abs(emb.e) @ np.abs(emb.e).T
+    kappa = (ga[0, 0] * ga[1, 1] + ga[0, 1] ** 2) / abs(met.det_g)
+    return float(s_k + 2.0 * kappa * abs(k_ref)), s_h + 2.0 * kappa * np.abs(h_ref)

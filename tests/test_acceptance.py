@@ -11,7 +11,15 @@ import math
 
 import numpy as np
 
-from helpers import eps_contract_reduced, eval_value, midpoint, rel, vec_rel
+from helpers import (
+    eps_contract_reduced,
+    eval_value,
+    gauss_naive,
+    mean_naive,
+    midpoint,
+    rel,
+    vec_rel,
+)
 from pbcurv import tensor
 from pbcurv.classical import (
     classical_gauss,
@@ -25,8 +33,6 @@ from pbcurv.classical import (
 from pbcurv.exprlang import eval_jet, parse_expression
 from pbcurv.poisson import (
     DensityChoice,
-    _gauss_naive,
-    _mean_naive,
     build_bracket_table,
     build_z,
     double_trace_check,
@@ -244,9 +250,9 @@ def test_contraction_paths_agree(monkeypatch):
     worst_assembled = 0.0
     for spec in _specs():
         emb, met, table = _setup(spec, midpoint(spec))
-        k_n = _gauss_naive(table, emb, met)
+        k_n = gauss_naive(table, emb, met)
         k_r = gauss_full_from_table(table, emb, met)
-        h_n = _mean_naive(table, emb, met)
+        h_n = mean_naive(table, emb, met)
         h_r = mean_full_from_table(table, emb, met)
         worst_assembled = max(worst_assembled, rel(k_n, k_r), vec_rel(h_n, h_r))
 
@@ -262,7 +268,7 @@ def test_contraction_paths_agree(monkeypatch):
     gauss_full_from_table(table, emb, met)
     mean_full_from_table(table, emb, met)
     try:
-        _gauss_naive(table, emb, met)
+        gauss_naive(table, emb, met)
         table_free = 1.0  # the naive path must consult the table
     except AssertionError:
         pass

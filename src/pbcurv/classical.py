@@ -9,7 +9,6 @@ bracket-based module is checked against these values.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -33,7 +32,9 @@ class EmbeddingEval:
     x holds the m coordinate jets; e[a, i] and xdd[i, a, b] are views of
     their gradient and Hessian slots, so tangents and second derivatives
     are consistent with the jets by construction.  l and p are 0 unless
-    the point is normalised (see normalised).
+    the point is normalised (see normalised).  unit_tables keeps, per
+    density, what poisson.gauss_full and mean_full build on the normalised
+    point, so the two share it.
     """
 
     sig: AmbientSignature
@@ -43,6 +44,7 @@ class EmbeddingEval:
     xdd: np.ndarray = field(init=False)
     l: int = 0
     p: int = 0
+    unit_tables: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.x) != self.sig.m:
@@ -66,35 +68,68 @@ class EmbeddingEval:
         so K' = 2^-2l K and H' = 2^-l H, and unscale_gauss and
         unscale_mean take them back.  The jets in x are not rescaled.
         """
-        E = math.frexp(max(map(abs, self.e.ravel().tolist())))[1]
-        top = max(map(abs, self.xdd.ravel().tolist()))
-        X = math.frexp(top)[1] if top else E
+        e, xdd, l, p = normalise_rows(self.e[None], self.xdd[None])
         out = object.__new__(EmbeddingEval)  # copy.copy, at a quarter of its cost
-        out.__dict__.update(vars(self), e=np.ldexp(self.e, -E), xdd=np.ldexp(self.xdd, -X))
-        out.l, out.p = self.l + X - 2 * E, self.p + X - E
+        out.__dict__.update(vars(self), e=e[0], xdd=xdd[0], unit_tables={})
+        out.l, out.p = self.l + int(l[0]), self.p + int(p[0])
         return out
 
     def unscale_gauss(self, k: float) -> float:
         """K of the evaluated surface from K' of this point: 2^2l K'."""
-        return _unscaled(k, 2 * self.l, "Gauss curvature K")
+        y, over, under = unscaled_rows(np.float64(k), 2 * self.l)  # numpy scalars: no arrays
+        fail_closed("Gauss curvature K", over, under)
+        return float(y)
 
     def unscale_mean(self, h: np.ndarray) -> np.ndarray:
         """H of the evaluated surface from H' of this point: 2^l H'."""
-        return np.array([_unscaled(x, self.l, "mean curvature vector H") for x in h.tolist()])
+        y, over, under = unscaled_rows(h, self.l)
+        fail_closed("mean curvature vector H", over, under)
+        return y
 
 
-def _unscaled(x: float, n: int, name: str) -> float:
-    """2^n x, failing closed where that leaves the float range.
+def normalise_rows(e: np.ndarray, xdd: np.ndarray):
+    """EmbeddingEval.normalised for N points at once.
 
-    A nonzero x whose 2^n x is subnormal or zero fails; exact zeros pass.
+    e is (N, 2, m) and xdd (N, m, 2, 2); returns e', xdd' and the
+    exponents l and p, one per row.
     """
-    try:
-        y = math.ldexp(x, n)
-    except OverflowError:
-        raise NonFiniteCurvatureError(f"{name} is not finite") from None
-    if abs(y) < sys.float_info.min and x != 0.0:
+    E = np.frexp(np.abs(e).max(axis=(1, 2)))[1]
+    top = np.abs(xdd).max(axis=(1, 2, 3))
+    X = np.frexp(top)[1] + (top == 0.0) * E  # frexp(0) = (0, 0)
+    return np.ldexp(e, -E[:, None, None]), np.ldexp(xdd, -X[:, None, None, None]), X - 2 * E, X - E
+
+
+def unscaled_rows(x: np.ndarray, n):
+    """2^n x entry by entry, and the entries where that leaves the float range.
+
+    Returns 2^n x, where it is infinite (over), and where a nonzero x
+    lands on a subnormal or on zero (under); exact zeros and NaN pass.
+    n broadcasts against x.
+    """
+    y = np.ldexp(x, n)
+    size = np.abs(y)
+    return y, size > sys.float_info.max, underflowed(size, x)
+
+
+def underflowed(size: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Where |2^n x| = size fell below the normal range although x is nonzero."""
+    return (size < sys.float_info.min) & (x != 0.0)
+
+
+def fail_closed(name: str, over: np.ndarray, under: np.ndarray) -> None:
+    """Raise for a flagged entry: over (not finite) first, then under (underflow).
+
+    The masks are arrays or numpy booleans of one value.
+    """
+    if _flagged(over):
+        raise NonFiniteCurvatureError(f"{name} is not finite")
+    if _flagged(under):
         raise NonFiniteCurvatureError("bracket products underflow the float range")
-    return y
+
+
+def _flagged(mask) -> bool:
+    # a tenth of the cost of mask.any() on a few entries
+    return bool(mask) if mask.ndim == 0 else any(mask.tolist())
 
 
 def evaluate_embedding(
@@ -115,14 +150,11 @@ class InducedMetric:
 
 
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
-    gbar = emb.sig.gbar
-    gab = np.einsum("i,ai,bi->ab", gbar, emb.e, emb.e)
-    (g00, g01), (g10, g11) = gab.tolist()
-    det_g = g00 * g11 - g01 * g10  # Python floats: no numpy warning on overflow
-    if not (np.isfinite(gab).all() and np.isfinite(det_g)):
+    gab, det, non_finite, singular = metric_rows(emb.sig.gbar, emb.e[None])
+    gab, det_g = gab[0], float(det[0])
+    if non_finite[0]:
         raise DegenerateMetricError(f"induced metric is not finite: det g = {det_g!r}")
-    scale = max(float(np.abs(gab).max()), 1.0)
-    if abs(det_g) < DEGENERACY_TOL * scale * scale:
+    if singular[0]:
         raise DegenerateMetricError(f"induced metric is singular: det g = {det_g!r}")
     ginv = (
         np.array([[gab[1, 1], -gab[0, 1]], [-gab[1, 0], gab[0, 0]]]) / det_g
@@ -134,17 +166,46 @@ def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     return InducedMetric(gab, det_g, ind_g, ginv)
 
 
-def det_g_jet(emb: EmbeddingEval) -> Jet1:
-    """det g with its parameter gradient, for the sqrt|det g| density.
+def _gram_rows(gbar: np.ndarray, e: np.ndarray):
+    """g_ab = gbar(e_a, e_b) (N, 2, 2) and det g (N,) per row of e (N, 2, m)."""
+    gab = (e * gbar) @ e.transpose(0, 2, 1)
+    return gab, gab[:, 0, 0] * gab[:, 1, 1] - gab[:, 0, 1] * gab[:, 1, 0]
 
-    half[a, b, c] = gbar(d_c e_a, e_b), so d_c g_ab = half[a, b, c] + half[b, a, c]
-    and d det g = g00 d g11 + g11 d g00 - 2 g01 d g01.
+
+def metric_rows(gbar: np.ndarray, e: np.ndarray):
+    """g_ab and det g per row, and the rows whose metric is not finite or is singular.
+
+    Singular means |det g| < DEGENERACY_TOL max(1, max|g_ab|)^2.  A NaN or
+    infinite g_ab leaves det g NaN or infinite, so det g alone tells
+    whether the metric is finite.
     """
-    gbar = emb.sig.gbar
-    (g00, g01), (_, g11) = np.einsum("i,ai,bi->ab", gbar, emb.e, emb.e).tolist()
-    half = np.einsum("i,iac,bi->abc", gbar, emb.xdd, emb.e)
-    dg = half + half.transpose(1, 0, 2)
-    return Jet1(g00 * g11 - g01 * g01, g00 * dg[1, 1] + g11 * dg[0, 0] - 2.0 * g01 * dg[0, 1])
+    gab, det = _gram_rows(gbar, e)
+    scale = np.maximum(np.abs(gab).max(axis=(1, 2)), 1.0)
+    return gab, det, ~np.isfinite(det), np.abs(det) < DEGENERACY_TOL * scale * scale
+
+
+def det_g_jet(emb: EmbeddingEval) -> Jet1:
+    """det g with its parameter gradient, for the sqrt|det g| density."""
+    value, grad = det_g_rows(emb.sig.gbar, emb.e[None], emb.xdd[None])
+    return Jet1(float(value[0]), grad[0])
+
+
+# adj g = _ADJUGATE_SIGNS * g[::-1, ::-1] for a 2x2 g
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def det_g_rows(gbar: np.ndarray, e: np.ndarray, xdd: np.ndarray):
+    """det g and its parameter gradient per row.
+
+    By Jacobi's formula d_c det g = tr(adj g d_c g), and d_c g_ab =
+    gbar(d_c e_a, e_b) + gbar(e_a, d_c e_b), so with adj g symmetric
+    d_c det g = 2 sum_ai M[a, i] x^i_ac where M = gbar (adj g) e.
+    """
+    n = len(e)
+    gab, det = _gram_rows(gbar, e)
+    M = (gab[:, ::-1, ::-1] * _ADJUGATE_SIGNS @ e) * gbar  # (N, 2, m)
+    grad = 2.0 * (M.reshape(n, 1, -1) @ xdd.transpose(0, 2, 1, 3).reshape(n, -1, 2))[:, 0]
+    return det, grad
 
 
 @dataclass(eq=False)

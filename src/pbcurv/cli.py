@@ -10,6 +10,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -20,19 +21,27 @@ from .classical import (
     classical_normal_frame,
     evaluate_embedding,
     induced_metric,
+    metric_rows,
     normal_projector,
+    normalise_rows,
     second_fundamental,
+    unscaled_rows,
 )
 from .classical import NormalFrame
 from .errors import GeometricError, PbcurvError, UsageError
 from .poisson import (
     DensityChoice,
+    bracket_rows,
     build_bracket_table,
     build_z,
+    density_rows,
     double_trace_check,
     gauss_full_from_table,
+    gauss_rows,
     gauss_via_frame,
     mean_full_from_table,
+    mean_rows,
+    nested_bracket_rows,
     normal_frame_from_z,
     p2_trace,
     ps_traces,
@@ -41,8 +50,12 @@ from .poisson import (
     weingarten_frame,
     zmap_invariants,
 )
-from .exprlang import parse_expression
+from .exprlang import compile_tape, eval_tape, parse_expression
 from .surfaces import SurfaceSpec, grid_points, load_spec
+
+# Most floats in one (N, m, m, m) array of a plain curvature chunk; this
+# bounds the memory of a grid at any m.
+CHUNK_FLOATS = 2**20
 
 RHO_INDEPENDENCE_DENSITIES = ("unit", "sqrt_abs_g", "expr:1 + 0.3*sin(u)")
 
@@ -213,16 +226,69 @@ def _record(
     return record
 
 
+def _plain_chunk(spec: SurfaceSpec, rho: DensityChoice, tape, u, v):
+    """K (N,) and H (N, m) of the "plain" level for N points, batch axis first.
+
+    Runs the stages of _record on arrays.  Also returns the rows to
+    recompute through _record: every row where one of its checks could
+    refuse the point, so that the point's own error, or its record, comes
+    from the per-point path.
+    """
+    sig, m = spec.signature, spec.m
+    values, grads, hessians, bad = eval_tape(tape, u, v)
+    e = np.ascontiguousarray(grads[:m].transpose(1, 2, 0))  # (N, 2, m)
+    xdd = np.ascontiguousarray(hessians[:m].transpose(1, 0, 2, 3))  # (N, m, 2, 2)
+    e, xdd, l, p = normalise_rows(e, xdd)
+    _, det_g, non_finite, singular = metric_rows(sig.gbar, e)
+    expr = (values[m], grads[m]) if rho.kind == "expression" else None
+    rv, rho_grad, vanishes = density_rows(rho, sig.gbar, e, xdd, p, expr)
+    P, Pgrad, rv, _ = bracket_rows(e, xdd, rv, rho_grad)
+    T = nested_bracket_rows(e, Pgrad, rv)
+    k, *k_fails = gauss_rows(sig, T, rv, det_g)
+    h, *h_fails = mean_rows(sig, T, P, rv, det_g)
+    k, *k_range = unscaled_rows(k, 2 * l)
+    h, *h_range = unscaled_rows(h, l[:, None])
+    bad |= non_finite | singular | vanishes | np.logical_or.reduce([*k_fails, *k_range])
+    bad |= np.logical_or.reduce([*h_fails, *h_range]).any(axis=1)
+    return k, h, bad
+
+
+def _plain_records(spec: SurfaceSpec, rho: DensityChoice, points) -> list[dict | None]:
+    """The "plain" records of all points, in chunks; None for a row to recompute."""
+    exprs = [*spec.coord_asts, *([rho.expr] if rho.kind == "expression" else [])]
+    tape = compile_tape(exprs)
+    h_cols = [f"H_full_{i}" for i in range(1, spec.m + 1)]
+    size = max(1, CHUNK_FLOATS // spec.m**3)
+    records: list[dict | None] = []
+    for start in range(0, len(points), size):
+        chunk = points[start:start + size]
+        u = np.array([pt[2] for pt in chunk])
+        v = np.array([pt[3] for pt in chunk])
+        with np.errstate(all="ignore"):  # flagged rows are recomputed, not warned about
+            k, h, bad = _plain_chunk(spec, rho, tape, u, v)
+        for (_, _, pu, pv), kk, hh, flagged in zip(chunk, k.tolist(), h.tolist(), bad.tolist()):
+            record = {"u": pu, "v": pv, "status": "ok", "K_full": kk, **dict(zip(h_cols, hh))}
+            records.append(None if flagged else record)
+    return records
+
+
 def _records(spec, rho, points, level: str, skip_degenerate: bool = False) -> list[dict]:
-    """One record per grid point: a geometric error is a skipped row or exit 3."""
+    """One record per grid point: a geometric error is a skipped row or exit 3.
+
+    The "plain" level runs batched over the grid (_plain_records); a row
+    it flags, and every row of the other levels, runs through _record.
+    """
+    batch = _plain_records(spec, rho, points) if level == "plain" else [None] * len(points)
     records = []
-    for _, _, u, v in points:
-        try:
-            records.append(_record(spec, rho, (u, v), level))
-        except GeometricError as exc:
-            if not skip_degenerate:
-                raise _geometric((u, v), exc) from exc
-            records.append({"u": u, "v": v, "status": f"skipped: {exc}"})
+    for (_, _, u, v), record in zip(points, batch):
+        if record is None:
+            try:
+                record = _record(spec, rho, (u, v), level)
+            except GeometricError as exc:
+                if not skip_degenerate:
+                    raise _geometric((u, v), exc) from exc
+                record = {"u": u, "v": v, "status": f"skipped: {exc}"}
+        records.append(record)
     return records
 
 
@@ -379,7 +445,14 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--tolerance must be non-negative, got {tol!r}")
         # overflow to inf/nan is reported by the finite checks, not as numpy warnings
         with np.errstate(all="ignore"):
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): send what is left of stdout to
+        # devnull so the exit-time flush cannot fail again (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,20 +29,20 @@ from .classical import (
     InducedMetric,
     NormalFrame,
     _NullPivot,
-    _unscaled,
-    det_g_jet,
+    det_g_rows,
+    fail_closed,
     induced_metric,
     pivoted_orthonormalize,
+    underflowed,
 )
 from .errors import (
     FrameConstructionError,
-    NonFiniteCurvatureError,
     RankDeficiencyError,
     UsageError,
     ZeroDensityError,
 )
 from .exprlang import Ast, eval_jet, parse_expression
-from .jets import DENOM_FLOOR, Jet1, Jet2, sqrt_abs1
+from .jets import DENOM_FLOOR, Jet1, Jet2, sqrt_abs_rows
 from .tensor import AmbientSignature, permutation_sign
 # benchmark/probe.py counts contraction calls through this name; no code here calls it
 from .tensor import eps_contract_naive  # noqa: F401
@@ -95,15 +96,34 @@ def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
 
     An expression is evaluated at emb.at, and its gradient times 2^-p.
     """
-    if choice.kind == "unit":
-        return Jet1.constant(1.0)
-    if choice.kind == "sqrt_abs_g":
-        return sqrt_abs1(det_g_jet(emb))
-    assert choice.expr is not None
-    rho = eval_jet(choice.expr, emb.at).lower()
-    if abs(rho.value) <= DENOM_FLOOR:
+    expr = None
+    if choice.kind == "expression":
+        assert choice.expr is not None
+        jet = eval_jet(choice.expr, emb.at)
+        expr = (np.array([jet.value]), jet.grad[None])
+    value, grad, vanishes = density_rows(
+        choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), expr
+    )
+    if vanishes[0]:
         raise ZeroDensityError(f"density {choice.source!r} vanishes")
-    return Jet1(rho.value, np.ldexp(rho.grad, -emb.p))
+    return Jet1(float(value[0]), grad[0])
+
+
+def density_rows(choice: DensityChoice, gbar, e, xdd, p, expr=None):
+    """density_jet for N points: rho (N,), its gradient (N, 2), and the rows where it vanishes.
+
+    e, xdd and p are the points' normalised jets and exponents; expr is the
+    expression's value (N,) and gradient (N, 2) at the original (u, v).
+    """
+    n = len(e)
+    if choice.kind == "unit":
+        return np.ones(n), np.zeros((n, 2)), np.zeros(n, dtype=bool)
+    if choice.kind == "sqrt_abs_g":
+        value, grad = det_g_rows(gbar, e, xdd)
+        root, root_grad = sqrt_abs_rows(value, grad)
+        return root, root_grad, np.abs(value) <= DENOM_FLOOR
+    value, grad = expr
+    return value, np.ldexp(grad, -p[:, None]), np.abs(value) <= DENOM_FLOOR
 
 
 # --- Brackets -----------------------------------------------------------
@@ -148,37 +168,52 @@ class BracketTable:
 
 
 def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
-    """Every bracket {x^i, x^j} at once, as an antisymmetrised outer product.
+    """Every bracket {x^i, x^j} at once; see bracket_rows.
+
+    The brackets are formed at the scale of emb, as given.
+    """
+    rho = density_jet(rho_choice, emb)  # raises where rho vanishes
+    P, Pgrad, rv, rho_grad = bracket_rows(
+        emb.e[None], emb.xdd[None], np.array([rho.value]), rho.grad[None]
+    )
+    return BracketTable(P[0], Pgrad[0], Jet1(float(rv[0]), rho_grad[0]))
+
+
+def bracket_rows(e, xdd, rho_value, rho_grad):
+    """The bracket table of N points: P, Pgrad and the scaled density jet.
 
     With A = e_u (x) e_v and B[i, j, a] = d_a e_u^i e_v^j + e_u^i d_a e_v^j,
     w = A - A^T and dw = B - B^T are the bracket numerators and their
     gradients; P = w / rho and Pgrad = dw / rho - w d(rho) / rho^2, the
     expression poisson_bracket evaluates for one pair.  K and H do not
-    depend on rho, so the table uses rho times the power of two that puts
+    depend on rho, so each row uses rho times the power of two that puts
     |rho| in [1/2, 1): exact, and no density can push rho^2 out of the
-    float range.  The brackets are formed at the scale of emb, as given.
+    float range.  Returns P (N, m, m), Pgrad (N, m, m, 2), and that rho
+    (N,) with its gradient (N, 2).
     """
-    rho = density_jet(rho_choice, emb)
-    c = -math.frexp(_density_value(rho))[1]
-    rho = Jet1(math.ldexp(rho.value, c), np.ldexp(rho.grad, c))
-    rv = rho.value
-    eu, ev = emb.e
-    xdd = emb.xdd
-    A = np.multiply.outer(eu, ev)
-    B = xdd[:, None, 0, :] * ev[None, :, None] + eu[:, None, None] * xdd[None, :, 1, :]
-    w = A - A.T
-    dw = B - B.transpose(1, 0, 2)
-    return BracketTable(w / rv, dw / rv - w[:, :, None] * rho.grad / (rv * rv), rho)
+    c = -np.frexp(rho_value)[1]
+    rv, rho_grad = np.ldexp(rho_value, c), np.ldexp(rho_grad, c[:, None])
+    eu, ev = e[:, 0], e[:, 1]
+    A = eu[:, :, None] * ev[:, None, :]
+    B = xdd[:, :, None, 0, :] * ev[:, None, :, None] + eu[:, :, None, None] * xdd[:, None, :, 1, :]
+    w = A - A.transpose(0, 2, 1)
+    dw = B - B.transpose(0, 2, 1, 3)
+    r = rv[:, None, None]
+    Pgrad = dw / r[..., None] - w[..., None] * rho_grad[:, None, None, :] / (r * r)[..., None]
+    return w / r, Pgrad, rv, rho_grad
 
 
 def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
     """T[i, k, l] = {x^i, {x^k, x^l}} for all coordinate triples."""
-    rv = table.rho.value
-    e = emb.e
+    return nested_bracket_rows(emb.e[None], table.Pgrad[None], np.array([table.rho.value]))[0]
+
+
+def nested_bracket_rows(e, Pgrad, rv):
+    """nested_bracket_tensor of N points: (N, m, m, m)."""
     return (
-        np.einsum("i,kl->ikl", e[0], table.Pgrad[:, :, 1])
-        - np.einsum("i,kl->ikl", e[1], table.Pgrad[:, :, 0])
-    ) / rv
+        e[:, 0, :, None, None] * Pgrad[:, None, :, :, 1]
+        - e[:, 1, :, None, None] * Pgrad[:, None, :, :, 0]
+    ) / rv[:, None, None, None]
 
 
 def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
@@ -281,8 +316,7 @@ def s_operator(table: BracketTable, emb: EmbeddingEval, frame: FrameField) -> np
     rv = table.rho.value
     e = emb.e
     return (
-        np.einsum("i,Aj->Aij", e[0], frame.grads[:, :, 1])
-        - np.einsum("i,Aj->Aij", e[1], frame.grads[:, :, 0])
+        e[0][:, None] * frame.grads[:, None, :, 1] - e[1][:, None] * frame.grads[:, None, :, 0]
     ) / rv
 
 
@@ -464,21 +498,43 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
 # --- Frame-free curvature ------------------------------------------------
 #
 # Both curvatures contract two rank-m permutation symbols over their m-3
-# trailing slots.  gauss_full_from_table and mean_full_from_table apply
+# trailing slots.  gauss_rows and mean_rows apply
 # eps_{jklL} eps^{irnL} = (m-3)! delta^{irn}_{jkl} to whole tensors.  The
 # six signed pairings of the generalized delta collapse to two sums after
 # relabelling, because T, G and P are exactly antisymmetric in their last
-# two slots (see BracketTable).  The sums are plain float sums: their
-# error comes from rounding T and P, not from the summation, and the
-# tests hold them to a few eps times the sums of |terms|.
+# two slots (see BracketTable).  The (m-3)! cancels against the 1/(p-1)!
+# of the normalisation, as p - 1 = m - 3.  The sums are plain float sums:
+# their error comes from rounding T and P, not from the summation, and the
+# tests hold them to a few eps times the sums of |terms|.  Every row's
+# sums are its own stacked matrix products, so no row's rounding depends
+# on the other rows of its batch.
+
+# |det g| above this puts (det g)^2 past the float range.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 
 
 @lru_cache(maxsize=None)
-def _gbar_cube(sig: AmbientSignature) -> np.ndarray:
-    """gbar_i gbar_r gbar_n, shared read-only by every K of this signature."""
+def _gauss_weights(sig: AmbientSignature) -> np.ndarray:
+    """-gbar_i gbar_r gbar_n / 4 then gbar_n / 2, read-only: K's two sums as one product."""
     cube = np.multiply.outer(np.multiply.outer(sig.gbar, sig.gbar), sig.gbar)
-    cube.setflags(write=False)
-    return cube
+    weights = np.concatenate([-0.25 * cube.ravel(), 0.5 * sig.gbar])[:, None]
+    weights.setflags(write=False)
+    return weights
+
+
+def _rho4_over_g2(rv: np.ndarray, det_g: np.ndarray) -> np.ndarray:
+    """rho^4 / (det g)^2 per row, dividing by det g twice."""
+    r2 = rv * rv
+    return r2 * r2 / det_g / det_g
+
+
+def _contraction_fails(x: np.ndarray, det_g: np.ndarray):
+    """Where K or H fails closed: (not finite, subnormal), per entry.
+
+    Both divide by det g twice; where (det g)^2 itself leaves the float
+    range the entry counts as not finite too.  det_g broadcasts against x.
+    """
+    return ~np.isfinite(x) | (np.abs(det_g) > _SQRT_MAX), underflowed(np.abs(x), x)
 
 
 def gauss_full_from_table(
@@ -486,24 +542,29 @@ def gauss_full_from_table(
 ) -> float:
     """Gauss curvature from nested coordinate brackets, no frame input.
 
+    See gauss_rows.  K is computed at emb's scale, as given; gauss_full
+    normalises the point first.
+    """
+    k, over, under = gauss_rows(
+        emb.sig, _nested(table, emb)[None], np.array([table.rho.value]), np.array([met.det_g])
+    )
+    fail_closed("Gauss curvature K", over, under)
+    return float(k[0])
+
+
+def gauss_rows(sig: AmbientSignature, T, rv, det_g):
+    """K of N points from their nested-bracket tensors, with _contraction_fails.
+
     acc = gbar_i gbar_r gbar_n T[i,k,l] T[j,r,n] eps_{jklL} eps^{irnL},
     summed over all indices, reduces to
     (m-3)! (2 gbar_i gbar_r gbar_n T[i,r,n]^2 - 4 gbar_n v_n^2)
-    with v_n = gbar_i T[i,i,n].  K is computed at emb's scale, as given;
-    gauss_full normalises the point first.
+    with v_n = gbar_i T[i,i,n], and K = -rho^4 acc / (8 (p-1)! (det g)^2).
     """
-    sig = emb.sig
-    m, p = sig.m, sig.codim
-    rv = table.rho.value
-    gb = sig.gbar
-    T = _nested(table, emb)
-    v = gb @ T.reshape(m * m, m)[:: m + 1]  # rows T[i, i, :]
-    acc = 2.0 * float(np.vdot(_gbar_cube(sig), T * T)) - 4.0 * float(np.dot(gb * v, v))
-    gg = met.det_g * met.det_g  # a Python float: inf past the float range, no warning
-    k = -(rv**4) * (math.factorial(m - 3) * acc) / (8.0 * gg * math.factorial(p - 1))
-    if not (math.isfinite(k) and math.isfinite(gg)):
-        raise NonFiniteCurvatureError("Gauss curvature K is not finite")
-    return _unscaled(k, 0, "Gauss curvature K")  # raises on a subnormal K
+    n, m = len(T), sig.m
+    v = sig.gbar @ T.reshape(n, m * m, m)[:, :: m + 1]  # rows T[i, i, :]
+    terms = np.concatenate([(T * T).reshape(n, -1), v * v], axis=1)
+    k = _rho4_over_g2(rv, det_g) * (terms[:, None, :] @ _gauss_weights(sig))[:, 0, 0]
+    return (k, *_contraction_fails(k, det_g))
 
 
 def mean_full_from_table(
@@ -511,41 +572,59 @@ def mean_full_from_table(
 ) -> np.ndarray:
     """Mean curvature vector from coordinate brackets, no frame input.
 
+    See mean_rows.  H is computed at emb's scale, as given; mean_full
+    normalises the point first.
+    """
+    h, over, under = mean_rows(
+        emb.sig,
+        _nested(table, emb)[None],
+        table.P[None],
+        np.array([table.rho.value]),
+        np.array([met.det_g]),
+    )
+    fail_closed("mean curvature vector H", over[0], under[0])
+    return h[0]
+
+
+def mean_rows(sig: AmbientSignature, T, P, rv, det_g):
+    """H (N, m) of N points, with _contraction_fails per entry.
+
     out_k = G[i,r,n] W[a,b] eps_{irnL} eps^{kabL}, summed over all other
     indices, with G[i,r,n] = gbar_j {x^i, x^j} {x^j, {x^r, x^n}} and
     W[a,b] = gbar_a gbar_b {x^a, x^b}, reduces to
-    2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]).  H is computed at
-    emb's scale, as given; mean_full normalises the point first.
+    2 (m-3)! (G[k,r,n] W[r,n] + 2 G[i,r,k] W[i,r]), and
+    H = rho^4 out / (8 (p-1)! (det g)^2).
     """
-    sig = emb.sig
-    m, p = sig.m, sig.codim
-    rv = table.rho.value
+    n, m = len(T), sig.m
     gb = sig.gbar
-    Pg = table.P * gb
-    G = Pg @ _nested(table, emb).reshape(m, m * m)
-    w = (gb[:, None] * Pg).ravel()
-    out = (2.0 * math.factorial(m - 3)) * (G @ w + 2.0 * (w @ G.reshape(m * m, m)))
-    gg = met.det_g * met.det_g  # a Python float: inf past the float range, no warning
-    out = rv**4 / (8.0 * gg * math.factorial(p - 1)) * out
-    if not (np.isfinite(out).all() and math.isfinite(gg)):
-        raise NonFiniteCurvatureError("mean curvature vector H is not finite")
-    for x in out.tolist():
-        _unscaled(x, 0, "mean curvature vector H")  # raises on a subnormal entry
-    return out
+    Pg = P * gb
+    G = Pg @ T.reshape(n, m, m * m)
+    w = (gb[:, None] * Pg).reshape(n, m * m)
+    out = (G @ w[:, :, None])[:, :, 0] + 2.0 * (w[:, None, :] @ G.reshape(n, m * m, m))[:, 0]
+    out *= (0.25 * _rho4_over_g2(rv, det_g))[:, None]
+    return (out, *_contraction_fails(out, det_g[:, None]))
+
+
+def _unit_table(emb: EmbeddingEval, rho_choice: DensityChoice):
+    """emb.normalised(), its metric and its bracket table, built once per point and density."""
+    hit = emb.unit_tables.get(rho_choice)
+    if hit is None:
+        unit = emb.normalised()
+        met = induced_metric(unit)
+        hit = emb.unit_tables[rho_choice] = (unit, met, build_bracket_table(unit, rho_choice))
+    return hit
 
 
 def gauss_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> float:
     """K at emb's point, computed on the normalised point and scaled back."""
-    emb = emb.normalised()
-    table = build_bracket_table(emb, rho_choice)
-    return emb.unscale_gauss(gauss_full_from_table(table, emb, induced_metric(emb)))
+    unit, met, table = _unit_table(emb, rho_choice)
+    return unit.unscale_gauss(gauss_full_from_table(table, unit, met))
 
 
 def mean_full(emb: EmbeddingEval, rho_choice: DensityChoice) -> np.ndarray:
     """H at emb's point, computed on the normalised point and scaled back."""
-    emb = emb.normalised()
-    table = build_bracket_table(emb, rho_choice)
-    return emb.unscale_mean(mean_full_from_table(table, emb, induced_metric(emb)))
+    unit, met, table = _unit_table(emb, rho_choice)
+    return unit.unscale_mean(mean_full_from_table(table, unit, met))
 
 
 # --- Scaling behavior of mixed brackets ----------------------------------
@@ -580,7 +659,7 @@ def double_trace_check(
         d = np.array(
             [scalar.grad[a] * nvec + scalar.value * ngrad[:, a] for a in (0, 1)]
         )  # (2, m)
-        return (np.einsum("i,j->ij", e[0], d[1]) - np.einsum("i,j->ij", e[1], d[0])) / rv
+        return (e[0][:, None] * d[1] - e[1][:, None] * d[0]) / rv
 
     bf = scaled_bracket(f, A)
     bh = scaled_bracket(h, B)

@@ -45,9 +45,8 @@ class AmbientSignature:
 
     @property
     def gbar(self) -> np.ndarray:
-        diag = np.ones(self.m)
-        diag[: self.nu] = -1.0
-        return diag
+        """The diagonal (m,), one read-only array per signature."""
+        return _gbar(self.m, self.nu)
 
     @property
     def codim(self) -> int:
@@ -60,6 +59,14 @@ class AmbientSignature:
             if i <= self.nu:
                 out = -out
         return out
+
+
+@lru_cache(maxsize=None)
+def _gbar(m: int, nu: int) -> np.ndarray:
+    diag = np.ones(m)
+    diag[:nu] = -1.0
+    diag.setflags(write=False)
+    return diag
 
 
 def _validate_indices(indices: tuple[int, ...], m: int) -> None:

@@ -5,8 +5,8 @@ the globals it wraps such as poisson.eps_contract_naive).  A stage whose
 name or signature changes is reported as absent, and the benchmark then
 prints a metric without a value.  This replays a small torus and a small
 m=7 surface through the probe and requires every stage to be present.
-It also passes real `invariants` and `curvature --compare` output through
-the benchmark's own output checks.
+It also passes real `invariants`, `curvature --compare` and plain
+`curvature` output through the benchmark's own output checks.
 """
 
 import importlib.util
@@ -81,10 +81,30 @@ def test_invariants_table_meets_the_benchmark_contract(capsys, monkeypatch):
     assert workloads.check_invariants(text, rc, request)[0] == 0
 
 
-def test_compare_json_meets_the_benchmark_contract(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    ("surface", "flags"),
+    [
+        ("torus", ("--grid", "4x4", "--compare", "--format", "json")),
+        # the bulk-m3 request: plain CSV over the 34x34 torus, batched
+        ("bulk-torus", ()),
+        ("synth7", ()),
+    ],
+    ids=["compare-json", "plain-csv-bulk-torus", "plain-csv-synth7"],
+)
+def test_compare_json_meets_the_benchmark_contract(surface, flags, tmp_path, capsys, monkeypatch):
     workloads = _load("workloads", monkeypatch)
-    args = ["curvature", "torus", "--grid", "4x4", "--compare", "--format", "json"]
-    assert cli.main(args) == 0
-    oracle = workloads.Oracle(surfaces.load_spec("torus"))
-    worst = workloads.check_curvature(capsys.readouterr().out, "json", oracle, 3, 4)
+    target = surface
+    if surface != "torus":
+        fields = {
+            "bulk-torus": workloads._torus(random.Random("1:torus"), 34),
+            "synth7": workloads._synthetic_m7(random.Random("1:synth7"), 6),
+        }[surface]
+        target = str(tmp_path / f"{surface}.conf")
+        workloads.write_config(Path(target), surface, fields)
+    assert cli.main(["curvature", target, *flags]) == 0
+    spec = surfaces.load_spec(target)
+    rows = len(surfaces.grid_points(spec, (4, 4) if surface == "torus" else None))
+    fmt = "json" if "json" in flags else "csv"
+    oracle = workloads.Oracle(spec)
+    worst = workloads.check_curvature(capsys.readouterr().out, fmt, oracle, spec.m, rows)
     assert worst <= workloads.TOLERANCE

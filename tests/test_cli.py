@@ -18,7 +18,7 @@ from pbcurv.errors import ConfigError, DegenerateMetricError
 from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
-from helpers import arc_sphere, natural_sphere
+from helpers import arc_sphere, error_scales, natural_sphere
 
 
 def run_cli(args, capsys):
@@ -192,13 +192,19 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
+    chunks = _count_calls(monkeypatch, cli, "nested_bracket_rows")
     tables = _count_calls(monkeypatch, cli, "build_bracket_table")
     tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
-    assert run_cli(["curvature", "torus", "--grid", "3x3"], capsys)[0] == 0
-    assert (len(tables), len(tensors)) == (1, 1)
+    # plain curvature builds T once per chunk of points and no per-point table
+    assert run_cli(["curvature", "torus", "--grid", "10x10"], capsys)[0] == 0
+    assert (len(chunks), len(tables), len(tensors)) == (1, 0, 0)
+    assert len(chunks[0][0]) == 64
+    monkeypatch.setattr(cli, "CHUNK_FLOATS", 7 * 3**3)  # chunks of 7 points
+    assert run_cli(["curvature", "torus", "--grid", "10x10"], capsys)[0] == 0
+    assert [len(args[0]) for args in chunks[1:]] == [7] * 9 + [1]
     assert run_cli(["curvature", "torus", "--grid", "3x3", "--compare"], capsys)[0] == 0
-    # --compare builds the run's table and one for another density
-    assert (len(tables), len(tensors)) == (3, 3)
+    # --compare builds the run's table and one for another density, per point
+    assert (len(chunks), len(tables), len(tensors)) == (11, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -292,6 +298,55 @@ def test_curvature_deterministic_across_runs(tmp_path, capsys):
     assert main(base + ["--output", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# the shapes of the benchmark's bulk-m3 torus and m=7 surface, fixed constants
+BULK_TORUS = (
+    'm = 3\nnu = 0\ncoords = ["(2.2718 + 0.6393*cos(u))*cos(v)", '
+    '"(2.2718 + 0.6393*cos(u))*sin(v)", "0.6393*sin(u)"]\n'
+    "domain = [0.0, 6.283185307179586, 0.0, 6.283185307179586]\ngrid = [34, 34]\n"
+)
+SYNTH7 = (
+    'm = 7\nnu = 0\ncoords = ["sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)", '
+    '"0.23*sin(u + 1.1)*cos(v + 4.2)", "0.31*cos(2*u + 0.7)", '
+    '"0.17*sin(u + 2*v + 5.9)", "0.29*cos(u - v + 2.5)"]\n'
+    "domain = [0.2, 2.941592653589793, 0.0, 6.283185307179586]\ngrid = [12, 12]\n"
+)
+
+
+@pytest.mark.parametrize("config", [BULK_TORUS, SYNTH7], ids=["bulk-torus", "synth7"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_plain_rows_do_not_depend_on_the_chunk_size(config, fmt, tmp_path, capsys, monkeypatch):
+    # one chunk, chunks of 7 points, and every point a batch of its own
+    cfg = tmp_path / "surface.conf"
+    cfg.write_text(config)
+    m = load_spec(str(cfg)).m
+    outputs = []
+    for floats in (cli.CHUNK_FLOATS, 7 * m**3, 1):
+        monkeypatch.setattr(cli, "CHUNK_FLOATS", floats)
+        code, out, _ = run_cli(["curvature", str(cfg), "--format", fmt], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("rho", ["sqrtg", "unit", "expr:1 + 0.3*sin(u)"])
+def test_plain_rows_match_the_library_point_calls(rho, capsys):
+    # the grid's jets come from the tape (numpy), a point's from eval_jet
+    # (math): K and H agree to within 64 eps of the closed forms' rounding scale
+    eps = np.finfo(float).eps
+    density = poisson.DensityChoice.from_string(rho)
+    for name, spec in CATALOG.items():
+        code, out, _ = run_cli(["curvature", name, "--grid", "6x6", "--rho", rho], capsys)
+        assert code == 0
+        for row in parse_csv(out)[1]:
+            emb = evaluate_embedding(spec.signature, spec.coord_asts, (row["u"], row["v"]))
+            k, h = poisson.gauss_full(emb, density), poisson.mean_full(emb, density)
+            h_row = np.array([row[f"H_full_{i}"] for i in range(1, spec.m + 1)])
+            met = induced_metric(emb)
+            s_k, s_h = error_scales(poisson.build_bracket_table(emb, density), emb, met, k, h)
+            assert abs(row["K_full"] - k) <= 64 * eps * s_k, (name, row["u"], row["v"])
+            assert np.all(np.abs(h_row - h) <= 64 * eps * s_h), (name, row["u"], row["v"])
 
 
 @pytest.mark.parametrize(
@@ -684,6 +739,23 @@ def run_module(args):
     )
 
 
+def test_closed_stdout_exits_one_without_a_traceback():
+    # `pbcurv curvature torus --grid 60x60 | head -1`: the reader leaves early
+    src = str(Path(pbcurv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pbcurv.cli", "curvature", "torus", "--grid", "60x60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"u,v,status,K_full")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    err = proc.stderr.read().decode()
+    assert "Traceback" not in err
+    assert err == ""
+
+
 def test_module_entry_point_subprocess():
     proc = run_module(["curvature", "plane", "--grid", "3x3"])
     assert proc.returncode == 0
@@ -786,6 +858,17 @@ def test_non_finite_curvature_exit_three_or_skipped(args, tmp_path, capsys):
     assert err == ("comparison failure: no point was compared\n" if compare else "")
     _, (row,) = parse_csv(out)
     assert row["status"] == "skipped: Gauss curvature K is not finite"
+
+
+def test_sqrt_of_a_tiny_value_exit_three(tmp_path, capsys):
+    # sqrt(a) has a'' = -a^-1.5 / 4: root * a underflowed to 0 and raised ZeroDivisionError
+    cfg = tmp_path / "tiny.surface"
+    cfg.write_text('m = 3\nnu = 0\ncoords = ["u", "v", "sqrt(u*1e-300)"]\ndomain = [0.1, 1, 0.1, 1]\n')
+    for extra in ([], ["--compare"]):
+        code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", *extra], capsys)
+        assert code == 3
+        assert out == ""
+        assert "sqrt overflows in its Hessian" in err
 
 
 def test_jet_derivative_overflow_names_the_derivative(tmp_path, capsys):

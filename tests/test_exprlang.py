@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pbcurv.errors import EvalError, LexError, ParseError
 from pbcurv.exprlang import (
@@ -12,10 +14,13 @@ from pbcurv.exprlang import (
     Neg,
     PowConst,
     Variable,
+    compile_tape,
     eval_jet,
+    eval_tape,
     parse_expression,
     tokenize,
 )
+from pbcurv.jets import ELEMENTARY
 from pbcurv.surfaces import CATALOG
 
 from helpers import eval_value
@@ -180,3 +185,84 @@ def test_call_structure():
 )
 def test_grouping_and_signs_parse_to_their_tree(source, tree):
     assert parse_expression(source) == tree
+
+
+# --- the compiled tape against eval_jet ----------------------------------
+
+# Constants and coordinates of moderate size: the tape and eval_jet differ
+# in the last place of a function value, and at coordinates like 1e-105
+# cos(v^0.5) cancels 1e104-sized Hessian terms, which magnifies that to
+# any size.  The property holds where the jets are well conditioned.
+_LEAVES = st.one_of(
+    st.sampled_from([Variable("u"), Variable("v")]),
+    st.integers(-300, 300).map(lambda k: Constant(k / 100)),
+)
+_EXPONENTS = st.integers(-3, 4).map(float) | st.sampled_from([0.5, 1.5, -0.5, 1.0 / 3.0])
+_COORDINATE = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
+_POINTS = st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1, max_size=6)
+
+
+def _grammar(arithmetic_only: bool):
+    """ASTs from the expression grammar: + - * and unary minus, or all of it."""
+
+    def extend(child):
+        ops = "+-*" if arithmetic_only else "+-*/"
+        nodes = [st.builds(BinOp, st.sampled_from(list(ops)), child, child), st.builds(Neg, child)]
+        if not arithmetic_only:
+            nodes.append(st.builds(PowConst, child, _EXPONENTS))
+            nodes.append(st.builds(Call, st.sampled_from(sorted(ELEMENTARY)), child))
+        return st.one_of(nodes)
+
+    return st.recursive(_LEAVES, extend, max_leaves=10)
+
+
+def _tape_rows(ast, points):
+    values, grads, hessians, bad = eval_tape(
+        compile_tape([ast]), np.array([p[0] for p in points]), np.array([p[1] for p in points])
+    )
+    return values[0], grads[0], hessians[0], bad
+
+
+def _jet_or_none(ast, at):
+    try:
+        return eval_jet(ast, at)
+    except Exception:  # any raise must be flagged by the tape
+        return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ast=_grammar(arithmetic_only=False), points=_POINTS)
+def test_tape_flags_every_eval_jet_error_and_agrees_elsewhere(ast, points):
+    values, grads, hessians, bad = _tape_rows(ast, points)
+    for n, at in enumerate(points):
+        jet = _jet_or_none(ast, at)
+        if jet is None:
+            assert bad[n], (ast, at)
+            continue
+        if bad[n]:
+            continue
+        for ours, ref in ((values[n], jet.value), (grads[n], jet.grad), (hessians[n], jet.hess)):
+            err = np.abs(np.asarray(ours) - ref)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref))), (ast, at, ours, ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ast=_grammar(arithmetic_only=True), points=_POINTS)
+def test_tape_gives_eval_jet_bits_on_sums_and_products(ast, points):
+    values, grads, hessians, bad = _tape_rows(ast, points)
+    for n, at in enumerate(points):
+        jet = _jet_or_none(ast, at)
+        assert bad[n] == (jet is None), (ast, at)
+        if jet is not None:
+            assert np.float64(jet.value).tobytes() == values[n].tobytes(), (ast, at)
+            assert jet.grad.tobytes() == grads[n].tobytes(), (ast, at)
+            assert jet.hess.tobytes() == hessians[n].tobytes(), (ast, at)
+
+
+def test_tape_shares_equal_subtrees():
+    ring = "(2 + cos(u))"
+    asts = [parse_expression(f"{ring}*cos(v)"), parse_expression(f"{ring}*sin(v)")]
+    tape = compile_tape(asts)
+    # u, v, 2, cos(u), 2 + cos(u), cos(v), product, sin(v), product
+    assert len(tape.code) == 9
+    assert [op for op, _, _ in tape.code].count("cos") == 2

@@ -5,7 +5,7 @@ import pytest
 
 from pbcurv import jets
 from pbcurv.errors import JetDivisionByZero, JetDomainError
-from pbcurv.jets import Jet1, Jet2, pow_const, sqrt_abs1
+from pbcurv.jets import Jet1, Jet2, pow_const, sqrt_abs_rows
 
 
 def uv(at):
@@ -210,16 +210,10 @@ def test_finite_difference_agreement():
 
 
 def test_sqrt_abs_jet1():
-    a = Jet1(4.0, np.array([2.0, 0.0]))
-    r = sqrt_abs1(a)
-    assert r.value == 2.0
-    assert np.allclose(r.grad, [0.5, 0.0])
-    neg = Jet1(-4.0, np.array([2.0, 0.0]))
-    rn = sqrt_abs1(neg)
-    assert rn.value == 2.0
-    assert np.allclose(rn.grad, [-0.5, 0.0])
-    with pytest.raises(JetDomainError):
-        sqrt_abs1(Jet1(0.0, np.zeros(2)))
+    # one row per jet: a = 4 and a = -4, both with gradient (2, 0)
+    root, grad = sqrt_abs_rows(np.array([4.0, -4.0]), np.array([[2.0, 0.0], [2.0, 0.0]]))
+    assert root.tolist() == [2.0, 2.0]
+    assert np.allclose(grad, [[0.5, 0.0], [-0.5, 0.0]])
 
 
 def test_derivative_overflow_names_the_derivative():

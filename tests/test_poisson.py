@@ -98,6 +98,14 @@ def test_density_jet_values():
         density_jet(DensityChoice.expression("u - u"), emb)
 
 
+def test_sqrt_density_of_a_null_metric_vanishes_without_a_warning():
+    # det g = 0 on (u, u, v) in R^3_1: sqrt|det g| has no gradient there
+    spec = parse_config('m = 3\nnu = 1\ncoords = ["u", "u", "v"]\ndomain = [0, 1, 0, 1]\n')
+    emb = evaluate_embedding(spec.signature, spec.coord_asts, (0.3, 0.4))
+    with pytest.raises(ZeroDensityError, match="sqrt_abs_g"):
+        density_jet(SQRTG, emb)
+
+
 def test_bracket_of_square_against_coordinate():
     # {u^2, v} with rho = 1: value 2u, gradient (2, 0)
     at = (3.0, 1.5)

@@ -127,3 +127,11 @@ def test_ambient_signature():
         AmbientSignature(2, 0)
     with pytest.raises(ValueError):
         AmbientSignature(3, 4)
+
+
+def test_gbar_is_one_read_only_array_per_signature():
+    sig = AmbientSignature(5, 2)
+    assert sig.gbar is sig.gbar
+    assert AmbientSignature(5, 2).gbar is sig.gbar  # spec.signature builds a new one per call
+    with pytest.raises(ValueError):
+        sig.gbar[0] = 1.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import jets
 from .errors import EvalError, JetDivisionByZero, JetDomainError, LexError, ParseError
-from .jets import DENOM_FLOOR, Jet2
+from .jets import Jet2
 
 VARIABLES = ("u", "v")
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -211,7 +211,7 @@ class _Parser:
                 return Variable(name, tok.pos), 1
             if name in CONSTANTS:
                 return Constant(CONSTANTS[name], tok.pos), 1
-            if name in jets.ELEMENTARY:
+            if name in jets.FUNCTIONS:
                 self.expect("lparen", f"'(' after function {name}")
                 arg, depth = self.parse_expr(0)
                 nxt = self.peek()
@@ -242,7 +242,10 @@ def _fold_constant(node: Ast, caret_pos: int) -> float:
             raise ParseError("division by zero in constant exponent", node.pos)
         return left / right
     if isinstance(node, PowConst):
-        return _fold_constant(node.base, caret_pos) ** node.exponent
+        value = _fold_constant(node.base, caret_pos) ** node.exponent
+        if isinstance(value, complex):  # a negative base to a fractional power
+            raise ParseError("constant exponent is not a real number", node.pos)
+        return value
     raise ParseError("exponent must be a constant expression", caret_pos)
 
 
@@ -284,7 +287,7 @@ def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
         if isinstance(node, PowConst):
             return jets.pow_const(eval_jet(node.base, at), node.exponent)
         if isinstance(node, Call):
-            return jets.ELEMENTARY[node.fn](eval_jet(node.arg, at))
+            return jets.call(node.fn, eval_jet(node.arg, at))
     except (JetDomainError, JetDivisionByZero) as exc:
         raise EvalError(str(exc), node.pos) from exc
     except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
@@ -356,84 +359,12 @@ def compile_tape(exprs: Sequence[Ast]) -> Tape:
     return Tape(tuple(code), outputs, tuple(map(tuple, dead)))
 
 
-# A jet over N points: value (N,), gradient (N, 2) and Hessian (N, 2, 2);
-# constants and variables carry N = 1 and broadcast.
-_ZERO_GRAD = np.zeros((1, 2))
-_ZERO_HESS = np.zeros((1, 2, 2))
-_SEEDS = {"u": np.array([[1.0, 0.0]]), "v": np.array([[0.0, 1.0]])}
-
-
-def _mul(a, b):
-    """Jet2.__mul__, row by row."""
-    (av, ag, ah), (bv, bg, bh) = a, b
-    cross = ag[:, :, None] * bg[:, None, :]
-    return (
-        av * bv,
-        av[:, None] * bg + bv[:, None] * ag,
-        av[:, None, None] * bh + bv[:, None, None] * ah + cross + cross.transpose(0, 2, 1),
-    )
-
-
-def _chain(a, value, d1, d2):
-    """jets._chain, row by row."""
-    _, ag, ah = a
-    outer = ag[:, :, None] * ag[:, None, :]
-    return value, d1[:, None] * ag, d1[:, None, None] * ah + d2[:, None, None] * outer
-
-
-def _elementary(fn: str, a):
-    """A function of jets.ELEMENTARY applied to a, and the rows outside its domain."""
-    x = a[0]
-    outside = None  # every real argument
-    if fn == "sin":
-        s, c = np.sin(x), np.cos(x)
-        return _chain(a, s, c, -s), outside
-    if fn == "cos":
-        s, c = np.sin(x), np.cos(x)
-        return _chain(a, c, -s, -c), outside
-    if fn == "tan":
-        t = np.tan(x)
-        sec2 = 1.0 + t * t
-        return _chain(a, t, sec2, 2.0 * t * sec2), outside
-    if fn == "sinh":
-        return _chain(a, np.sinh(x), np.cosh(x), np.sinh(x)), outside
-    if fn == "cosh":
-        return _chain(a, np.cosh(x), np.sinh(x), np.cosh(x)), outside
-    if fn == "tanh":
-        t = np.tanh(x)
-        sech2 = 1.0 - t * t
-        return _chain(a, t, sech2, -2.0 * t * sech2), outside
-    if fn == "exp":
-        e = np.exp(x)
-        return _chain(a, e, e, e), outside
-    if fn == "ln":
-        inv = 1.0 / x
-        return _chain(a, np.log(x), inv, -inv * inv), x <= 0.0
-    if fn == "sqrt":
-        root = np.sqrt(x)
-        return _chain(a, root, 0.5 / root, -0.25 / (root * x)), x <= 0.0
-    raise ValueError(f"unknown function {fn!r}")
-
-
-def _pow(a, c: float):
-    """jets.pow_const, row by row, and the rows outside its domain."""
-    x = a[0]
-    if c.is_integer():
-        n = int(c)
-        d1 = np.zeros_like(x) if n == 0 else n * x ** (n - 1)
-        d2 = np.zeros_like(x) if n * (n - 1) == 0 else n * (n - 1) * x ** (n - 2)
-        return _chain(a, x**n, d1, d2), (x == 0.0) & (n < 0)
-    return _chain(a, x**c, c * x ** (c - 1), c * (c - 1) * x ** (c - 2)), x <= 0.0
-
-
-def _divide(a, b):
-    """Jet2.__truediv__, row by row, and the rows whose denominator is too small."""
-    bv, bg, bh = b
-    inv = 1.0 / bv
-    outer = bg[:, :, None] * bg[:, None, :]
-    inv_g = -bg * inv[:, None] * inv[:, None]
-    inv_h = -bh * inv[:, None, None] * inv[:, None, None] + 2.0 * outer * (inv**3)[:, None, None]
-    return _mul(a, (inv, inv_g, inv_h)), np.abs(bv) <= DENOM_FLOOR
+# A batch jet over N points (jets.py's layout, N last); constants and
+# variables carry N = 1 and broadcast.
+_ZERO_GRAD = np.zeros((2, 1))
+_ZERO_HESS = np.zeros((2, 2, 1))
+_SEEDS = {"u": np.array([[1.0], [0.0]]), "v": np.array([[0.0], [1.0]])}
+_ARITHMETIC = {"+": jets.add, "-": jets.sub, "*": jets.mul}
 
 
 def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
@@ -441,11 +372,11 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
 
     Returns values (k, N), gradients (k, N, 2) and Hessians (k, N, 2, 2)
     of the k expressions, and a mask of the rows where eval_jet could
-    raise: a node outside its domain (the jets.py rules) or with a
-    non-finite value, gradient or Hessian.  Values in those rows are
-    meaningless.  Every operation follows its jets.py counterpart step by
-    step, so + - * and negation give eval_jet's bits; the functions and
-    powers come from numpy and may differ from math in the last place.
+    raise: a node outside its domain (jets.outside) or with a non-finite
+    value, gradient or Hessian.  Values in those rows are meaningless.
+    Each node applies jets.py's rule with numpy where eval_jet applies it
+    with math, so + - * and negation give eval_jet's bits; the functions
+    and powers may differ from math in the last place.
     """
     n = len(u)
     bad = np.zeros(n, dtype=bool)
@@ -453,35 +384,30 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     with np.errstate(all="ignore"):  # out-of-domain rows are flagged, not warned about
         for k, (op, args, c) in enumerate(tape.code):
             a, b = [slots[arg] for arg in args] + [None] * (2 - len(args))
-            outside = None
             if op == "const":
-                jet = (np.full(1, c), _ZERO_GRAD, _ZERO_HESS)
+                jet = Jet2(np.full(1, c), _ZERO_GRAD, _ZERO_HESS)
             elif op in _SEEDS:
-                jet = (np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
+                jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
             elif op == "neg":
-                jet = (-a[0], -a[1], -a[2])
-            elif op == "+":
-                jet = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            elif op == "-":
-                jet = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-            elif op == "*":
-                jet = _mul(a, b)
+                jet = -a
+            elif op in _ARITHMETIC:
+                jet = _ARITHMETIC[op](a, b)
             elif op == "/":
-                jet, outside = _divide(a, b)
+                jet = jets.mul(a, jets.reciprocal(b))
             elif op == "pow":
-                jet, outside = _pow(a, c)
+                jet = jets.power(a, c)
             else:
-                jet, outside = _elementary(op, a)
+                jet = jets.elementary(op, a, np)
             if args:
-                value, grad, hess = jet
-                finite = np.isfinite(value) & np.isfinite(grad).all(axis=1)
-                finite &= np.isfinite(hess).all(axis=(1, 2))
-                bad |= ~finite if outside is None else ~finite | outside
+                finite = np.isfinite(jet.value) & np.isfinite(jet.grad).all(axis=0)
+                finite &= np.isfinite(jet.hess).all(axis=(0, 1))
+                operand = a if b is None else b  # the denominator of a quotient
+                bad |= ~finite | jets.outside(op, operand.value, c)
             slots[k] = jet
             for slot in tape.dead[k]:
                 slots[slot] = None
-    jets_out = [slots[k] for k in tape.outputs]
-    values = np.stack([np.broadcast_to(j[0], (n,)) for j in jets_out])
-    grads = np.stack([np.broadcast_to(j[1], (n, 2)) for j in jets_out])
-    hessians = np.stack([np.broadcast_to(j[2], (n, 2, 2)) for j in jets_out])
+    outs = [slots[k] for k in tape.outputs]
+    values = np.stack([np.broadcast_to(j.value, (n,)) for j in outs])
+    grads = np.stack([np.broadcast_to(j.grad, (2, n)).T for j in outs])
+    hessians = np.stack([np.broadcast_to(j.hess, (2, 2, n)).transpose(2, 0, 1) for j in outs])
     return values, grads, hessians, bad

@@ -6,10 +6,19 @@ functions propagate that data exactly (Leibniz and chain rules), so no
 finite differencing enters any derivative used downstream.  Jet1 is the
 order-1 truncation; it is what a Poisson bracket of two Jet2 values can
 still support, and it carries densities with their gradients.
+
+Each rule is written once, for one point or for a batch.  A point holds a
+float value, a (2,) gradient and a (2, 2) Hessian; a batch of N points
+puts N last: (N,), (2, N) and (2, 2, N), so the same expressions
+broadcast over both.  The rules check nothing.  Jet2's operators, call
+and pow_const raise for one point; exprlang.eval_tape masks the rows of
+a batch.  Both ask outside() for the domain and test the result for
+finiteness.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,15 +28,19 @@ from .errors import JetDivisionByZero, JetDomainError
 
 # Denominators at or below this magnitude raise instead of overflowing.
 DENOM_FLOOR = 1e-300
+# The functions of the expression language.
+FUNCTIONS = ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "ln", "sqrt")
 
 
-def _check_finite(op: str, value: float, grad: np.ndarray, hess: np.ndarray) -> None:
-    if not math.isfinite(value):
-        raise JetDomainError(op, value, "is undefined" if math.isnan(value) else "overflows")
-    for part, arr in (("gradient", grad), ("Hessian", hess)):
+def _finite(op: str, jet: Jet2) -> Jet2:
+    """jet, if the value and derivatives of this one point are finite."""
+    if not math.isfinite(jet.value):
+        raise JetDomainError(op, jet.value, "is undefined" if math.isnan(jet.value) else "overflows")
+    for part, arr in (("gradient", jet.grad), ("Hessian", jet.hess)):
         # Python floats: a quarter of the cost of np.isfinite on four entries
         if not all(map(math.isfinite, arr.ravel().tolist())):
-            raise JetDomainError(op, value, f"overflows in its {part}")
+            raise JetDomainError(op, jet.value, f"overflows in its {part}")
+    return jet
 
 
 @dataclass(eq=False)
@@ -55,7 +68,7 @@ def sqrt_abs_rows(value: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(eq=False)
 class Jet2:
-    """Order-2 jet: value, gradient (2,) and symmetric Hessian (2, 2)."""
+    """Order-2 jet: value, gradient (2,) and symmetric Hessian (2, 2), or a batch."""
 
     value: float
     grad: np.ndarray
@@ -84,44 +97,26 @@ class Jet2:
         return Jet2.constant(other)
 
     def __add__(self, other: Jet2 | float | int) -> Jet2:
-        o = self._coerce(other)
-        out = Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-        _check_finite("add", out.value, out.grad, out.hess)
-        return out
+        return _finite("add", add(self, self._coerce(other)))
 
     __radd__ = __add__
 
     def __sub__(self, other: Jet2 | float | int) -> Jet2:
-        o = self._coerce(other)
-        out = Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-        _check_finite("sub", out.value, out.grad, out.hess)
-        return out
+        return _finite("sub", sub(self, self._coerce(other)))
 
     def __rsub__(self, other: float | int) -> Jet2:
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other: Jet2 | float | int) -> Jet2:
-        o = self._coerce(other)
-        cross = self.grad[:, None] * o.grad  # np.outer, at half its cost
-        out = Jet2(
-            self.value * o.value,
-            self.value * o.grad + o.value * self.grad,
-            self.value * o.hess + o.value * self.hess + cross + cross.T,
-        )
-        _check_finite("mul", out.value, out.grad, out.hess)
-        return out
+        return _finite("mul", mul(self, self._coerce(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Jet2 | float | int) -> Jet2:
         o = self._coerce(other)
-        if abs(o.value) <= DENOM_FLOOR:
+        if outside("/", o.value):
             raise JetDivisionByZero(o.value)
-        inv_v = 1.0 / o.value
-        inv_grad = -o.grad * inv_v * inv_v
-        outer = o.grad[:, None] * o.grad
-        inv_hess = -o.hess * inv_v * inv_v + 2.0 * outer * inv_v**3
-        return self.__mul__(Jet2(inv_v, inv_grad, inv_hess))
+        return self.__mul__(reciprocal(o))
 
     def __rtruediv__(self, other: float | int) -> Jet2:
         return self._coerce(other).__truediv__(self)
@@ -130,98 +125,104 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
 
-def _chain(fn: str, a: Jet2, value: float, d1: float, d2: float) -> Jet2:
-    """Compose a scalar function with jet a given its derivatives at a.value."""
-    out = Jet2(
-        value,
-        d1 * a.grad,
-        d1 * a.hess + d2 * (a.grad[:, None] * a.grad),
+# --- The rules, for one point or a batch ------------------------------------
+
+def add(a: Jet2, b: Jet2) -> Jet2:
+    return Jet2(a.value + b.value, a.grad + b.grad, a.hess + b.hess)
+
+
+def sub(a: Jet2, b: Jet2) -> Jet2:
+    return Jet2(a.value - b.value, a.grad - b.grad, a.hess - b.hess)
+
+
+def mul(a: Jet2, b: Jet2) -> Jet2:
+    cross = a.grad[:, None] * b.grad  # np.outer at half its cost, and its batch form
+    return Jet2(
+        a.value * b.value,
+        a.value * b.grad + b.value * a.grad,
+        a.value * b.hess + b.value * a.hess + cross + cross.swapaxes(0, 1),
     )
-    _check_finite(fn, out.value, out.grad, out.hess)
-    return out
 
 
-def sin(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _chain("sin", a, s, c, -s)
-
-
-def cos(a: Jet2) -> Jet2:
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _chain("cos", a, c, -s, -c)
-
-
-def tan(a: Jet2) -> Jet2:
-    t = math.tan(a.value)
-    sec2 = 1.0 + t * t
-    return _chain("tan", a, t, sec2, 2.0 * t * sec2)
-
-
-def sinh(a: Jet2) -> Jet2:
-    return _chain("sinh", a, math.sinh(a.value), math.cosh(a.value), math.sinh(a.value))
-
-
-def cosh(a: Jet2) -> Jet2:
-    return _chain("cosh", a, math.cosh(a.value), math.sinh(a.value), math.cosh(a.value))
-
-
-def tanh(a: Jet2) -> Jet2:
-    t = math.tanh(a.value)
-    sech2 = 1.0 - t * t
-    return _chain("tanh", a, t, sech2, -2.0 * t * sech2)
-
-
-def exp(a: Jet2) -> Jet2:
-    e = math.exp(a.value)
-    return _chain("exp", a, e, e, e)
-
-
-def ln(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
-        raise JetDomainError("ln", a.value)
+def reciprocal(a: Jet2) -> Jet2:
     inv = 1.0 / a.value
-    return _chain("ln", a, math.log(a.value), inv, -inv * inv)
+    outer = a.grad[:, None] * a.grad
+    return Jet2(inv, -a.grad * inv * inv, -a.hess * inv * inv + 2.0 * outer * inv**3)
 
 
-def sqrt(a: Jet2) -> Jet2:
-    if a.value <= 0.0:
-        raise JetDomainError("sqrt", a.value)
-    root = math.sqrt(a.value)
-    cube = root * a.value  # 0 below a = 1e-216: the Hessian overflows, and _check_finite says so
-    return _chain("sqrt", a, root, 0.5 / root, -0.25 / cube if cube else -math.inf)
+def chain(a: Jet2, value, d1, d2) -> Jet2:
+    """f(a) from f and its first two derivatives at a.value."""
+    return Jet2(value, d1 * a.grad, d1 * a.hess + d2 * (a.grad[:, None] * a.grad))
+
+
+def elementary(fn: str, a: Jet2, lib) -> Jet2:
+    """fn(a) for fn in FUNCTIONS; lib (math or numpy) supplies sin, exp, log, ..."""
+    x = a.value
+    if fn in ("sin", "cos"):
+        s, c = lib.sin(x), lib.cos(x)
+        return chain(a, s, c, -s) if fn == "sin" else chain(a, c, -s, -c)
+    if fn == "tan":
+        t = lib.tan(x)
+        sec2 = 1.0 + t * t
+        return chain(a, t, sec2, 2.0 * t * sec2)
+    if fn in ("sinh", "cosh"):
+        s, c = lib.sinh(x), lib.cosh(x)
+        return chain(a, s, c, s) if fn == "sinh" else chain(a, c, s, c)
+    if fn == "tanh":
+        t = lib.tanh(x)
+        sech2 = 1.0 - t * t
+        return chain(a, t, sech2, -2.0 * t * sech2)
+    if fn == "exp":
+        e = lib.exp(x)
+        return chain(a, e, e, e)
+    if fn == "ln":
+        inv = 1.0 / x
+        return chain(a, lib.log(x), inv, -inv * inv)
+    if fn == "sqrt":
+        root = lib.sqrt(x)
+        d1 = 0.5 / root
+        return chain(a, root, d1, -0.5 * d1 / x)  # not root * x: that is 0 below x = 1e-216
+    raise ValueError(f"unknown function {fn!r}")
+
+
+def power(a: Jet2, c: float) -> Jet2:
+    """a**c for a constant float c, which stays a float in every term."""
+    x = a.value
+    d1 = 0.0 if c == 0.0 else c * x ** (c - 1.0)
+    d2 = 0.0 if c * (c - 1.0) == 0.0 else c * (c - 1.0) * x ** (c - 2.0)
+    return chain(a, x**c, d1, d2)
+
+
+def outside(fn: str, x, c: float = 0.0):
+    """Whether x is outside the domain of fn, row by row for a batch.
+
+    fn is one of FUNCTIONS, "pow" with the exponent c, or "/" with x the
+    denominator.  Integer powers accept any base, nonzero for negative
+    exponents; fractional powers, ln and sqrt need a positive one.
+    """
+    if fn == "/":
+        return abs(x) <= DENOM_FLOOR
+    if fn == "pow" and c.is_integer():
+        return (x == 0.0) & (c < 0.0)
+    return x <= 0.0 if fn in ("ln", "sqrt", "pow") else False
+
+
+# --- One point ---------------------------------------------------------------
+
+def call(fn: str, a: Jet2) -> Jet2:
+    """fn(a) at one point, for fn in FUNCTIONS."""
+    if outside(fn, a.value):
+        raise JetDomainError(fn, a.value)
+    return _finite(fn, elementary(fn, a, math))
 
 
 def pow_const(a: Jet2, exponent: float) -> Jet2:
-    """a**c for a constant exponent c.
-
-    Integer exponents use the polynomial rule and accept any base
-    (nonzero for negative exponents); fractional exponents require a
-    positive base.
-    """
+    """a**c at one point, for a constant exponent c."""
     c = float(exponent)
-    if c.is_integer():
-        n = int(c)
-        if a.value == 0.0 and n < 0:
-            raise JetDomainError("pow", a.value)
-        value = a.value**n
-        d1 = 0.0 if n == 0 else n * a.value ** (n - 1)
-        d2 = 0.0 if n * (n - 1) == 0 else n * (n - 1) * a.value ** (n - 2)
-        return _chain("pow", a, value, d1, d2)
-    if a.value <= 0.0:
+    if outside("pow", a.value, c):
         raise JetDomainError("pow", a.value)
-    value = a.value**c
-    return _chain("pow", a, value, c * a.value ** (c - 1), c * (c - 1) * a.value ** (c - 2))
+    return _finite("pow", power(a, c))
 
 
-# Dispatch table used by the expression evaluator.
-ELEMENTARY = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-    "exp": exp,
-    "ln": ln,
-    "sqrt": sqrt,
-}
+# jets.sin(a) is call("sin", a), and so on.
+sin, cos, tan, sinh, cosh, tanh, exp, ln, sqrt = (functools.partial(call, fn) for fn in FUNCTIONS)

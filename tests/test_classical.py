@@ -283,7 +283,7 @@ def _assert_same_vectors(got: np.ndarray, want: np.ndarray) -> None:
     assert float(np.abs(got - want).max(initial=0.0)) <= 1e-13 * scale
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     shape=st.tuples(st.integers(1, 12), st.integers(2, 8)),
     rank=st.integers(1, 8),
@@ -340,7 +340,7 @@ def test_classical_frame_matches_looped_oracle_on_catalog(name):
         _assert_frame_matches_looped(*embed(name, at))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -5,10 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbcurv
 from pbcurv import cli, poisson
@@ -16,6 +20,7 @@ from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
 from pbcurv.errors import ConfigError, DegenerateMetricError
 from pbcurv.exprlang import MAX_DEPTH
+from pbcurv.jets import FUNCTIONS
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
 from helpers import arc_sphere, error_scales, natural_sphere
@@ -902,3 +907,81 @@ def test_deep_expression_exit_two_names_the_limit(coord, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"nested more than {MAX_DEPTH} levels deep" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    ("coord", "message"),
+    [
+        ("u^1e300", "pow overflows in its Hessian at value 0.0 (expression offset 1)"),
+        ("(u+2)^1e300", "pow overflows the float range (expression offset 5)"),
+        ("u^-1e300", "pow overflows the float range (expression offset 1)"),
+    ],
+    ids=["u^1e300", "(u+2)^1e300", "u^-1e300"],
+)
+def test_huge_exponent_exit_three_with_one_message_in_every_command(coord, message, tmp_path, capsys):
+    # the integer rule once turned the exponent into a 300-digit int, which
+    # failed to convert back to a float in plain curvature's batch
+    cfg = tmp_path / "huge.surface"
+    cfg.write_text(f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\ndomain = [0.1, 1, 0.1, 1]\n')
+    expected = f"geometric error: at (u, v) = (0.55, 0.55): {message}\n"
+    for args in (["curvature"], ["curvature", "--compare"], ["invariants"]):
+        code, out, err = run_cli([args[0], str(cfg), "--grid", "3x3", *args[1:]], capsys)
+        assert (code, out, err) == (3, "", expected), args
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", "--skip-degenerate"], capsys)
+    assert (code, err) == (0, "")
+    _, (row,) = parse_csv(out)
+    assert row["status"] == f"skipped: {message}"
+
+
+def test_complex_constant_exponent_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "complex.surface"
+    cfg.write_text('m = 3\nnu = 0\ncoords = ["u", "v", "u^((-8)^(1/3))"]\ndomain = [0.1, 1, 0.1, 1]\n')
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3"], capsys)
+    assert (code, out) == (2, "")
+    assert "constant exponent is not a real number" in err
+
+
+# --- fuzzing the command line -------------------------------------------------
+
+# Configs from the expression grammar, with constants and exponents at the
+# edges of the float range.  Each runs in-process through every command.
+_FUZZ_LEAVES = st.sampled_from(["u", "v", "0", "1e-300", "1e300", "700", "2", "0.3"])
+_FUZZ_EXPONENTS = st.sampled_from(["2", "3", "-1", "-2", "0.5", "-0.5", "1e300", "-1e300", "1e19"])
+
+
+def _fuzz_extend(child):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), child),
+        st.builds("({}{}{})".format, child, st.sampled_from("+-*/"), child),
+        st.builds("({})^{}".format, child, _FUZZ_EXPONENTS),
+        st.builds("-{}".format, child),
+    )
+
+
+_FUZZ_EXPR = st.recursive(_FUZZ_LEAVES, _fuzz_extend, max_leaves=8)
+_FUZZ_COMMANDS = (
+    ["curvature"], ["curvature", "--skip-degenerate"], ["curvature", "--compare"], ["invariants"]
+)
+
+
+@settings(max_examples=300)
+@given(
+    coords=st.tuples(st.just("u") | _FUZZ_EXPR, st.just("v") | _FUZZ_EXPR, _FUZZ_EXPR),
+    domain=st.sampled_from(["[0.1, 1, 0.1, 1]", "[-1, 1, -2, 2]"]),
+)
+def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.surface"
+    quoted = ", ".join(f'"{c}"' for c in coords)
+    cfg.write_text(f"m = 3\nnu = 0\ncoords = [{quoted}]\ndomain = {domain}\ngrid = [4, 4]\n")
+    for args in _FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([args[0], str(cfg), *args[1:]])
+        assert code in (0, 1, 2, 3), (args, err.getvalue())
+        if args[0] == "curvature" and code in (0, 1):
+            _, rows = parse_csv(out.getvalue())
+            for row in rows:
+                if row["status"] == "ok":
+                    assert all(math.isfinite(x) for x in row.values() if isinstance(x, float)), row

@@ -248,3 +248,69 @@ def test_lower_truncates():
     assert j.value == 2.0
     assert np.array_equal(j.grad, [2.0, 1.0])
     assert not hasattr(j, "hess")
+
+
+
+# --- the rules against a 50-digit reference ----------------------------------
+
+_OPS = [*jets.FUNCTIONS, *(float(n) for n in range(-3, 5)), 0.5, 1.5, -0.5, 1.0 / 3.0, "quotient"]
+_POINTS = np.random.default_rng(20260407).uniform(0.2, 1.0, size=(4, 2))  # every inner in [0.2, 1.3]
+# value, gradient and Hessian entries in row-major order, as orders of d/du and d/dv
+_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (1, 1), (0, 2)]
+
+
+def _inner(name, u, v):
+    """u, v or u*v + 0.3, of jets in either layout or of mpmath numbers."""
+    if name in ("u", "v"):
+        return u if name == "u" else v
+    if isinstance(u, Jet2):
+        return jets.add(jets.mul(u, v), _constant(0.3, u))
+    return u * v + 0.3
+
+
+def _constant(c, like):
+    return Jet2(c + 0.0 * like.value, 0.0 * like.grad, 0.0 * like.hess)
+
+
+def _apply(op, a, lib):
+    """The shared rule for op applied to the jet a."""
+    if op == "quotient":
+        return jets.mul(jets.add(a, _constant(2.0, a)), jets.reciprocal(a))
+    if isinstance(op, float):
+        return jets.power(a, op)
+    return jets.elementary(op, a, lib)
+
+
+def _reference(op, mpmath):
+    """op as a function of one mpmath number."""
+    if op == "quotient":
+        return lambda x: (x + 2) / x
+    if isinstance(op, float):
+        return lambda x: x ** mpmath.mpf(op)
+    return getattr(mpmath, op)
+
+
+@pytest.mark.parametrize("layout", ["point", "batch"])
+@pytest.mark.parametrize("op", _OPS, ids=str)
+def test_rules_match_a_50_digit_reference(op, layout):
+    # the formulas themselves: the tape's tests only hold the batch to the point
+    mpmath = pytest.importorskip("mpmath")
+    n = len(_POINTS)
+    for inner in ("u", "v", "uv+0.3"):
+        if layout == "point":
+            rows = [_apply(op, _inner(inner, *uv(tuple(p))), math) for p in _POINTS]
+            rows = [(j.value, j.grad, j.hess) for j in rows]
+        else:
+            seed, zero = np.eye(2)[:, :, None], np.zeros((2, 2, 1))
+            u, v = (Jet2(_POINTS[:, i], seed[i], zero) for i in (0, 1))
+            j = _apply(op, _inner(inner, u, v), np)
+            value = np.broadcast_to(j.value, (n,))
+            grad, hess = np.broadcast_to(j.grad, (2, n)), np.broadcast_to(j.hess, (2, 2, n))
+            rows = [(value[k], grad[:, k], hess[:, :, k]) for k in range(n)]
+        fn = _reference(op, mpmath)
+        with mpmath.workdps(50):
+            for (pu, pv), (value, grad, hess) in zip(_POINTS, rows):
+                at = (mpmath.mpf(pu), mpmath.mpf(pv))
+                for order, got in zip(_ORDERS, [value, *grad, *hess.ravel()]):
+                    ref = float(mpmath.diff(lambda a, b: fn(_inner(inner, a, b)), at, order))
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), (inner, order, got, ref)

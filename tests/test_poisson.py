@@ -189,7 +189,7 @@ def test_bracket_table_matches_raw_jets():
         assert np.array_equal(table.P, -table.P.T)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),
@@ -218,7 +218,7 @@ def test_bracket_table_matches_scalar_bracket_on_random_jets(dims, seed, density
             assert np.all(np.abs(Pgrad[i, j] - direct.grad) <= 1e-13 * grad_size[i, j]), (i, j)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),
@@ -332,7 +332,7 @@ def test_fd_oracle_tangential_part_matches_weingarten_frame(name):
             assert float(np.abs(got - want).max()) <= 1e-6 * scale, name
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),
@@ -533,7 +533,7 @@ def test_contraction_paths_agree_in_curvature():
         assert vec_rel(h_n, h_r) <= 1e-12, name
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     dims=st.integers(3, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),

@@ -34,7 +34,7 @@ def _check_against_reference(emb, density: str) -> None:
     assert np.all(np.abs(h - h_ref) <= C * EPS * s_h), (h, h_ref, s_h)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     dims=st.integers(3, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),

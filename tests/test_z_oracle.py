@@ -132,7 +132,7 @@ def test_sorted_build_matches_ordered_oracle_on_catalog(name):
         assert_builds_agree(table, emb, met)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     dims=st.integers(3, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),
@@ -180,7 +180,7 @@ def test_z_frame_matches_zmat_oracle_on_catalog(name):
             assert_frame_matches_zmat_oracle(table, emb, met)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     dims=st.integers(3, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),

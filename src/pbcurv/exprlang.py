@@ -19,6 +19,7 @@ identifiers are rejected while parsing, not at evaluation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -135,6 +136,9 @@ class Call:
 Ast = Constant | Variable | Neg | BinOp | PowConst | Call
 
 _ADD, _MUL, _UNARY, _POW = 1, 2, 3, 4
+# How _fold_constant folds each operator of a constant exponent.
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+         "^": operator.pow}
 _BINARY_PREC = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
 
 
@@ -224,29 +228,33 @@ class _Parser:
 
 
 def _fold_constant(node: Ast, caret_pos: int) -> float:
-    """Reduce an exponent subtree to a number; reject variables."""
+    """Reduce an exponent subtree to a finite number; reject variables.
+
+    A folded operation that leaves the float range is a parse error at its
+    own offset, as a literal beyond the range is.
+    """
     if isinstance(node, Constant):
         return node.value
     if isinstance(node, Neg):
         return -_fold_constant(node.child, caret_pos)
     if isinstance(node, BinOp):
-        left = _fold_constant(node.left, caret_pos)
-        right = _fold_constant(node.right, caret_pos)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if abs(right) == 0.0:
-            raise ParseError("division by zero in constant exponent", node.pos)
-        return left / right
-    if isinstance(node, PowConst):
-        value = _fold_constant(node.base, caret_pos) ** node.exponent
-        if isinstance(value, complex):  # a negative base to a fractional power
-            raise ParseError("constant exponent is not a real number", node.pos)
-        return value
-    raise ParseError("exponent must be a constant expression", caret_pos)
+        left, right = _fold_constant(node.left, caret_pos), _fold_constant(node.right, caret_pos)
+        op, args = node.op, (left, right)
+    elif isinstance(node, PowConst):
+        op, args = "^", (_fold_constant(node.base, caret_pos), node.exponent)
+    else:
+        raise ParseError("exponent must be a constant expression", caret_pos)
+    try:
+        value = _FOLD[op](*args)
+    except ZeroDivisionError:  # x/0, or 0 to a negative power
+        raise ParseError("division by zero in constant exponent", node.pos) from None
+    except OverflowError:  # float ** raises it
+        value = math.inf
+    if isinstance(value, complex):  # a negative base to a fractional power
+        raise ParseError("constant exponent is not a real number", node.pos)
+    if math.isinf(value):
+        raise ParseError("constant exponent is outside the float range", node.pos)
+    return value
 
 
 def parse(tokens: list[Token], length: int = 0) -> Ast:
@@ -271,29 +279,25 @@ def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
         return Jet2.constant(node.value)
     if isinstance(node, Variable):
         return Jet2.variable(node.index + 1, at)
-    if isinstance(node, Neg):
-        return -eval_jet(node.child, at)
+    b, c = None, 0.0
+    if isinstance(node, BinOp):
+        op, a, b = node.op, eval_jet(node.left, at), eval_jet(node.right, at)
+    elif isinstance(node, PowConst):
+        op, a, c = "pow", eval_jet(node.base, at), node.exponent
+    elif isinstance(node, Call):
+        op, a = node.fn, eval_jet(node.arg, at)
+    elif isinstance(node, Neg):
+        op, a = "neg", eval_jet(node.child, at)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
     try:
-        if isinstance(node, BinOp):
-            left = eval_jet(node.left, at)
-            right = eval_jet(node.right, at)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        if isinstance(node, PowConst):
-            return jets.pow_const(eval_jet(node.base, at), node.exponent)
-        if isinstance(node, Call):
-            return jets.call(node.fn, eval_jet(node.arg, at))
+        if jets.outside(op, a, b, c):
+            raise JetDivisionByZero(b.value) if op == "/" else JetDomainError(op, a.value)
+        return jets.finite(op, jets.rule(op, a, b, c, math))
     except (JetDomainError, JetDivisionByZero) as exc:
         raise EvalError(str(exc), node.pos) from exc
     except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
-        fn = node.fn if isinstance(node, Call) else getattr(node, "op", "pow")
-        raise EvalError(f"{fn} overflows the float range", node.pos) from exc
-    raise TypeError(f"not an AST node: {node!r}")
+        raise EvalError(f"{op} overflows the float range", node.pos) from exc
 
 
 # --- Evaluation over many points ---------------------------------------
@@ -364,7 +368,6 @@ def compile_tape(exprs: Sequence[Ast]) -> Tape:
 _ZERO_GRAD = np.zeros((2, 1))
 _ZERO_HESS = np.zeros((2, 2, 1))
 _SEEDS = {"u": np.array([[1.0], [0.0]]), "v": np.array([[0.0], [1.0]])}
-_ARITHMETIC = {"+": jets.add, "-": jets.sub, "*": jets.mul}
 
 
 def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
@@ -374,9 +377,9 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     of the k expressions, and a mask of the rows where eval_jet could
     raise: a node outside its domain (jets.outside) or with a non-finite
     value, gradient or Hessian.  Values in those rows are meaningless.
-    Each node applies jets.py's rule with numpy where eval_jet applies it
-    with math, so + - * and negation give eval_jet's bits; the functions
-    and powers may differ from math in the last place.
+    Each node applies jets.rule with numpy where eval_jet applies it with
+    math, so + - * and negation give eval_jet's bits; the functions and
+    powers may differ from math in the last place.
     """
     n = len(u)
     bad = np.zeros(n, dtype=bool)
@@ -388,21 +391,11 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
                 jet = Jet2(np.full(1, c), _ZERO_GRAD, _ZERO_HESS)
             elif op in _SEEDS:
                 jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
-            elif op == "neg":
-                jet = -a
-            elif op in _ARITHMETIC:
-                jet = _ARITHMETIC[op](a, b)
-            elif op == "/":
-                jet = jets.mul(a, jets.reciprocal(b))
-            elif op == "pow":
-                jet = jets.power(a, c)
             else:
-                jet = jets.elementary(op, a, np)
-            if args:
+                jet = jets.rule(op, a, b, c, np)
                 finite = np.isfinite(jet.value) & np.isfinite(jet.grad).all(axis=0)
                 finite &= np.isfinite(jet.hess).all(axis=(0, 1))
-                operand = a if b is None else b  # the denominator of a quotient
-                bad |= ~finite | jets.outside(op, operand.value, c)
+                bad |= ~finite | jets.outside(op, a, b, c)
             slots[k] = jet
             for slot in tape.dead[k]:
                 slots[slot] = None

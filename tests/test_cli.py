@@ -912,11 +912,10 @@ def test_deep_expression_exit_two_names_the_limit(coord, tmp_path):
 @pytest.mark.parametrize(
     ("coord", "message"),
     [
-        ("u^1e300", "pow overflows in its Hessian at value 0.0 (expression offset 1)"),
         ("(u+2)^1e300", "pow overflows the float range (expression offset 5)"),
         ("u^-1e300", "pow overflows the float range (expression offset 1)"),
     ],
-    ids=["u^1e300", "(u+2)^1e300", "u^-1e300"],
+    ids=["(u+2)^1e300", "u^-1e300"],
 )
 def test_huge_exponent_exit_three_with_one_message_in_every_command(coord, message, tmp_path, capsys):
     # the integer rule once turned the exponent into a 300-digit int, which
@@ -933,6 +932,21 @@ def test_huge_exponent_exit_three_with_one_message_in_every_command(coord, messa
     assert row["status"] == f"skipped: {message}"
 
 
+def test_huge_exponent_on_a_base_below_one_gives_a_plane(tmp_path, capsys):
+    # u^1e300 and both its derivatives underflow to 0 on [0.1, 1]; c*(c-1) = inf
+    # times that 0 once made the Hessian NaN, and every command exited 3
+    cfg = tmp_path / "huge.surface"
+    cfg.write_text('m = 3\nnu = 0\ncoords = ["u", "v", "u^1e300"]\ndomain = [0.1, 1, 0.1, 1]\n')
+    for extra in ([], ["--compare"], ["--skip-degenerate"]):
+        code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3", *extra], capsys)
+        assert (code, err) == (0, ""), extra
+        _, (row,) = parse_csv(out)
+        assert row["status"] == "ok"
+        assert [row[k] for k in ("K_full", "H_full_1", "H_full_2", "H_full_3")] == [0.0] * 4
+    code, out, err = run_cli(["invariants", str(cfg), "--grid", "3x3"], capsys)
+    assert (code, err) == (0, "")
+
+
 def test_complex_constant_exponent_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "complex.surface"
     cfg.write_text('m = 3\nnu = 0\ncoords = ["u", "v", "u^((-8)^(1/3))"]\ndomain = [0.1, 1, 0.1, 1]\n')
@@ -941,12 +955,39 @@ def test_complex_constant_exponent_is_a_usage_error(tmp_path, capsys):
     assert "constant exponent is not a real number" in err
 
 
+@pytest.mark.parametrize(
+    ("expr", "message"),
+    [
+        ("u^(1e300*1e300)", "constant exponent is outside the float range (at offset 8)"),
+        ("u^(1e300*1e300-1e300*1e300)", "constant exponent is outside the float range (at offset 8)"),
+        ("u^2^1e300", "constant exponent is outside the float range (at offset 3)"),
+        ("u^(0^-1)", "division by zero in constant exponent (at offset 4)"),
+    ],
+)
+def test_folded_exponent_outside_the_float_range_is_a_usage_error(expr, message, tmp_path, capsys):
+    # these folded to inf or NaN and exited 3, raised OverflowError or
+    # ZeroDivisionError, and printed a traceback on the --rho path
+    cfg = tmp_path / "fold.surface"
+    cfg.write_text(f'm = 3\nnu = 0\ncoords = ["u", "v", "{expr}"]\ndomain = [0.1, 1, 0.1, 1]\n')
+    code, out, err = run_cli(["curvature", str(cfg), "--grid", "3x3"], capsys)
+    assert (code, out, err) == (2, "", f"error: bad coordinate expression: {message}\n")
+    for command in ("curvature", "invariants"):
+        code, out, err = run_cli([command, "sphere", "--grid", "3x3", "--rho", f"expr:{expr}"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), command
+
+
 # --- fuzzing the command line -------------------------------------------------
 
-# Configs from the expression grammar, with constants and exponents at the
-# edges of the float range.  Each runs in-process through every command.
+# Configs and --rho densities from the expression grammar, with constants
+# and exponents at the edges of the float range.  Each runs in-process
+# through every command.
 _FUZZ_LEAVES = st.sampled_from(["u", "v", "0", "1e-300", "1e300", "700", "2", "0.3"])
-_FUZZ_EXPONENTS = st.sampled_from(["2", "3", "-1", "-2", "0.5", "-0.5", "1e300", "-1e300", "1e19"])
+_FUZZ_CONSTANTS = st.sampled_from(["2", "3", "-1", "-2", "0", "0.5", "-0.5", "1e300", "-1e300", "1e19"])
+_FUZZ_EXPONENTS = st.one_of(
+    _FUZZ_CONSTANTS,
+    st.builds("({}{}{})".format, _FUZZ_CONSTANTS, st.sampled_from("+-*/"), _FUZZ_CONSTANTS),
+    st.builds("{}^{}".format, _FUZZ_CONSTANTS, _FUZZ_CONSTANTS),
+)
 
 
 def _fuzz_extend(child):
@@ -964,22 +1005,28 @@ _FUZZ_COMMANDS = (
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=500)
 @given(
     coords=st.tuples(st.just("u") | _FUZZ_EXPR, st.just("v") | _FUZZ_EXPR, _FUZZ_EXPR),
     domain=st.sampled_from(["[0.1, 1, 0.1, 1]", "[-1, 1, -2, 2]"]),
+    rho=st.none() | _FUZZ_EXPR,
 )
-def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, tmp_path_factory):
+def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, rho, tmp_path_factory):
     cfg = tmp_path_factory.mktemp("fuzz") / "fuzz.surface"
     quoted = ", ".join(f'"{c}"' for c in coords)
     cfg.write_text(f"m = 3\nnu = 0\ncoords = [{quoted}]\ndomain = {domain}\ngrid = [4, 4]\n")
+    density = [] if rho is None else ["--rho", f"expr:{rho}"]
     for args in _FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([args[0], str(cfg), *args[1:]])
+                code = main([args[0], str(cfg), *args[1:], *density])
         assert code in (0, 1, 2, 3), (args, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: "), (args, line)
         if args[0] == "curvature" and code in (0, 1):
             _, rows = parse_csv(out.getvalue())
             for row in rows:

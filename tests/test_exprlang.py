@@ -153,6 +153,11 @@ def test_eval_domain_error_carries_position():
         eval_jet(parse_expression("1/u"), (0.0, 1.0))
 
 
+def test_eval_jet_rejects_a_non_ast():
+    with pytest.raises(TypeError, match="not an AST node"):
+        eval_jet(BinOp("+", Variable("u"), "v"), (0.0, 1.0))
+
+
 def test_eval_value_matches_eval_jet():
     rng = np.random.default_rng(4)
     sources = [c for spec in CATALOG.values() for c in spec.coords]

@@ -109,7 +109,7 @@ def test_sqrt_density_of_a_null_metric_vanishes_without_a_warning():
 def test_bracket_of_square_against_coordinate():
     # {u^2, v} with rho = 1: value 2u, gradient (2, 0)
     at = (3.0, 1.5)
-    f = Jet2.variable(1, at) * Jet2.variable(1, at)
+    f = eval_jet(parse_expression("u*u"), at)
     g = Jet2.variable(2, at)
     br = poisson_bracket(f, g, Jet1.constant(1.0))
     assert isinstance(br, Jet1)

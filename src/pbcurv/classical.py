@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, FrameConstructionError, NonFiniteCurvatureError
 from .exprlang import Ast, eval_jet
-from .jets import Jet1, Jet2
+from .jets import Jet2
 from .tensor import AmbientSignature
 
 # Relative floor on |det g| before the metric counts as singular.
@@ -182,12 +182,6 @@ def metric_rows(gbar: np.ndarray, e: np.ndarray):
     gab, det = _gram_rows(gbar, e)
     scale = np.maximum(np.abs(gab).max(axis=(1, 2)), 1.0)
     return gab, det, ~np.isfinite(det), np.abs(det) < DEGENERACY_TOL * scale * scale
-
-
-def det_g_jet(emb: EmbeddingEval) -> Jet1:
-    """det g with its parameter gradient, for the sqrt|det g| density."""
-    value, grad = det_g_rows(emb.sig.gbar, emb.e[None], emb.xdd[None])
-    return Jet1(float(value[0]), grad[0])
 
 
 # adj g = _ADJUGATE_SIGNS * g[::-1, ::-1] for a 2x2 g

@@ -23,6 +23,7 @@ import operator
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .jets import Jet2
 
 VARIABLES = ("u", "v")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-# Deepest AST, and deepest parser recursion, that parse accepts; evaluation
-# recurses once per AST level, so this stays far inside Python's limit.
+# Deepest AST, and parser recursion, that parse accepts; the parser and the dataclass
+# __hash__/__eq__ recurse once per level, compile_tape and evaluation do not.
 MAX_DEPTH = 200
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
@@ -89,30 +90,33 @@ def tokenize(source: str) -> list[Token]:
 
 # --- AST ---------------------------------------------------------------
 
+class _Node:
+    @cached_property
+    def tape(self) -> Tape:
+        """The tree this node roots, compiled once per node object (not per equal tree)."""
+        return compile_tape([self])
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Node):
     value: float
     pos: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Variable:
+class Variable(_Node):
     name: str  # "u" or "v"
     pos: int = field(compare=False, default=0)
 
-    @property
-    def index(self) -> int:
-        return VARIABLES.index(self.name)
-
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     child: Ast
     pos: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * /
     left: Ast
     right: Ast
@@ -120,14 +124,14 @@ class BinOp:
 
 
 @dataclass(frozen=True)
-class PowConst:
+class PowConst(_Node):
     base: Ast
     exponent: float
     pos: int = field(compare=False, default=0)
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: Ast
     pos: int = field(compare=False, default=0)
@@ -271,49 +275,22 @@ def parse_expression(source: str) -> Ast:
     return parse(tokenize(source), len(source))
 
 
-# --- Evaluation at one point -------------------------------------------
-
-def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
-    """Evaluate to an order-2 jet at the parameter point `at`."""
-    if isinstance(node, Constant):
-        return Jet2.constant(node.value)
-    if isinstance(node, Variable):
-        return Jet2.variable(node.index + 1, at)
-    b, c = None, 0.0
-    if isinstance(node, BinOp):
-        op, a, b = node.op, eval_jet(node.left, at), eval_jet(node.right, at)
-    elif isinstance(node, PowConst):
-        op, a, c = "pow", eval_jet(node.base, at), node.exponent
-    elif isinstance(node, Call):
-        op, a = node.fn, eval_jet(node.arg, at)
-    elif isinstance(node, Neg):
-        op, a = "neg", eval_jet(node.child, at)
-    else:
-        raise TypeError(f"not an AST node: {node!r}")
-    try:
-        if jets.outside(op, a, b, c):
-            raise JetDivisionByZero(b.value) if op == "/" else JetDomainError(op, a.value)
-        return jets.finite(op, jets.rule(op, a, b, c, math))
-    except (JetDomainError, JetDivisionByZero) as exc:
-        raise EvalError(str(exc), node.pos) from exc
-    except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
-        raise EvalError(f"{op} overflows the float range", node.pos) from exc
-
-
-# --- Evaluation over many points ---------------------------------------
+# --- Evaluation -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class Tape:
     """Expressions compiled into one post-order instruction list.
 
-    code[k] = (op, operand slots, constant) computes slot k; op is "const",
-    "u", "v", "neg", one of + - * /, "pow", or a function name.  Equal
-    subtrees (ASTs compare without positions) share one slot.  outputs[j]
-    is the slot of the j-th expression, and dead[k] lists the slots no
-    instruction after k reads.
+    code[k] = (op, operand slots, constant) computes slot k, left operand
+    first; op is "const", "u", "v", "neg", one of + - * /, "pow", or a
+    function name.  Equal subtrees (ASTs compare without positions) share
+    one slot, and pos[k] is the offset of the first.  outputs[j] is the slot
+    of the j-th expression; dead[k] lists the slots no instruction after k
+    reads.  A parsed root keeps its own tape, which eval_jet walks.
     """
 
     code: tuple[tuple[str, tuple[int, ...], float], ...]
+    pos: tuple[int, ...]
     outputs: tuple[int, ...]
     dead: tuple[tuple[int, ...], ...]
 
@@ -337,30 +314,58 @@ def _decompose(node: Ast) -> tuple[str, tuple[Ast, ...], float]:
 
 def compile_tape(exprs: Sequence[Ast]) -> Tape:
     """One tape for all of exprs, built without recursion."""
-    slots: dict[Ast, int] = {}
-    code = []
+    slots: dict[int, int] = {}  # id(node) -> slot
+    # instruction (op, operand slots, constant) -> (slot, offset of its first node):
+    # equal subtrees have equal instructions, which hash in O(1) where an AST does not
+    first: dict[tuple, tuple[int, int]] = {}
     for root in exprs:
-        stack = [root]
+        stack = [(root, None)]  # (node, None) to visit, (node, its parts) to emit
         while stack:
-            node = stack[-1]
-            if node in slots:
-                stack.pop()
+            node, parts = stack.pop()
+            if parts is None:
+                if id(node) not in slots:
+                    parts = _decompose(node)
+                    stack.append((node, parts))
+                    stack.extend((kid, None) for kid in reversed(parts[1]))  # left on top
                 continue
-            op, kids, constant = _decompose(node)
-            todo = [kid for kid in kids if kid not in slots]
-            if todo:
-                stack.extend(todo)
-                continue
-            stack.pop()
-            slots[node] = len(code)
-            code.append((op, tuple(slots[kid] for kid in kids), constant))
-    outputs = tuple(slots[root] for root in exprs)
+            op, kids, constant = parts
+            key = (op, tuple(slots[id(kid)] for kid in kids), constant)
+            slots[id(node)] = first.setdefault(key, (len(first), node.pos))[0]
+    code = tuple(first)
+    outputs = tuple(slots[id(root)] for root in exprs)
     last = {arg: k for k, (_, args, _) in enumerate(code) for arg in args}
     dead = [[] for _ in code]
     for slot, k in last.items():
         if slot not in outputs:
             dead[k].append(slot)
-    return Tape(tuple(code), outputs, tuple(map(tuple, dead)))
+    return Tape(code, tuple(p for _, p in first.values()), outputs, tuple(map(tuple, dead)))
+
+
+def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
+    """The order-2 jet of node at the point `at`: node's tape walked with math.
+
+    The first instruction outside its domain, or not finite, raises EvalError at its offset.
+    """
+    tape = node.tape if isinstance(node, _Node) else compile_tape([node])
+    slots: list[Jet2] = []
+    with np.errstate(all="ignore"):  # jets.finite checks every instruction
+        for (op, args, c), pos in zip(tape.code, tape.pos):
+            if op == "const":
+                slots.append(Jet2.constant(c))
+                continue
+            if op in VARIABLES:
+                slots.append(Jet2.variable(VARIABLES.index(op) + 1, at))
+                continue
+            a, b = slots[args[0]], slots[args[1]] if len(args) == 2 else None
+            try:
+                if jets.outside(op, a, b, c):
+                    raise JetDivisionByZero(b.value) if op == "/" else JetDomainError(op, a.value)
+                slots.append(jets.finite(op, jets.rule(op, a, b, c, math)))
+            except (JetDomainError, JetDivisionByZero) as exc:
+                raise EvalError(str(exc), pos) from exc
+            except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
+                raise EvalError(f"{op} overflows the float range", pos) from exc
+    return slots[tape.outputs[0]]
 
 
 # A batch jet over N points (jets.py's layout, N last); constants and

@@ -11,10 +11,10 @@ Each rule is written once, for one point or for a batch.  A point holds a
 float value, a (2,) gradient and a (2, 2) Hessian; a batch of N points
 puts N last: (N,), (2, N) and (2, 2, N), so the same expressions
 broadcast over both.  rule() maps each op of the expression language to
-its rule and checks nothing.  exprlang.eval_jet applies it to one point
-with math and raises; exprlang.eval_tape applies it to a batch with
-numpy and masks the rows.  Both ask outside() for the domain and test
-the result for finiteness, eval_jet through finite().
+its rule and checks nothing.  Walking one exprlang.Tape, eval_jet applies
+it to one point with math and raises; eval_tape applies it to a batch
+with numpy and masks the rows.  Both ask outside() for the domain and
+test the result for finiteness, eval_jet through finite().
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class SurfaceSpec:
             raise ConfigError(f"empty parameter domain {self.domain}")
         try:
             self.coord_asts = [parse_expression(c) for c in self.coords]
-        except Exception as exc:
+        except PbcurvError as exc:
             raise ConfigError(f"bad coordinate expression: {exc}") from exc
         try:
             DensityChoice.from_string(self.rho)

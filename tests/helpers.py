@@ -7,15 +7,17 @@ import math
 
 import numpy as np
 
+from pbcurv import jets
 from pbcurv.classical import (
     EmbeddingEval,
     InducedMetric,
     _NullPivot,
+    det_g_rows,
     evaluate_embedding,
     induced_metric,
 )
-from pbcurv.errors import EvalError
-from pbcurv.exprlang import Ast, BinOp, Call, Constant, Neg, PowConst, Variable
+from pbcurv.errors import EvalError, JetDivisionByZero, JetDomainError
+from pbcurv.exprlang import VARIABLES, Ast, BinOp, Call, Constant, Neg, PowConst, Variable
 from pbcurv.jets import DENOM_FLOOR, Jet1, Jet2
 from pbcurv.poisson import BracketTable, DensityChoice, build_bracket_table, nested_bracket_tensor
 from pbcurv.surfaces import CATALOG, SurfaceSpec, grid_points
@@ -105,8 +107,14 @@ def clear_of_degeneracy(emb: EmbeddingEval) -> bool:
     return abs(det) >= 0.05 * max(1.0, float(np.abs(gab).max())) ** 2
 
 
+def det_g_jet(emb: EmbeddingEval) -> Jet1:
+    """det g with its parameter gradient at emb's point (classical.det_g_rows, one row)."""
+    value, grad = det_g_rows(emb.sig.gbar, emb.e[None], emb.xdd[None])
+    return Jet1(float(value[0]), grad[0])
+
+
 def metric_jets(emb: EmbeddingEval) -> list[list[Jet1]]:
-    """Oracle for pbcurv.classical.det_g_jet: each g_ab as an order-1 jet, one loop per entry."""
+    """Oracle for pbcurv.classical.det_g_rows: each g_ab as an order-1 jet, one loop per entry."""
     gbar = emb.sig.gbar
     out: list[list[Jet1]] = []
     for a in range(2):
@@ -182,12 +190,43 @@ def looped_orthonormalize(
     return np.array(accepted), np.array(signs, dtype=int)
 
 
+def walk_jet(node: Ast, at: tuple[float, float]) -> Jet2:
+    """Oracle for pbcurv.exprlang.eval_jet and eval_tape: a recursive walk of the AST.
+
+    Left operand first, each node through jets.outside, jets.rule with math
+    and jets.finite; the first failing node raises EvalError at its offset.
+    """
+    if isinstance(node, Constant):
+        return Jet2.constant(node.value)
+    if isinstance(node, Variable):
+        return Jet2.variable(VARIABLES.index(node.name) + 1, at)
+    b, c = None, 0.0
+    if isinstance(node, BinOp):
+        op, a, b = node.op, walk_jet(node.left, at), walk_jet(node.right, at)
+    elif isinstance(node, PowConst):
+        op, a, c = "pow", walk_jet(node.base, at), node.exponent
+    elif isinstance(node, Call):
+        op, a = node.fn, walk_jet(node.arg, at)
+    elif isinstance(node, Neg):
+        op, a = "neg", walk_jet(node.child, at)
+    else:
+        raise TypeError(f"not an AST node: {node!r}")
+    try:
+        if jets.outside(op, a, b, c):
+            raise JetDivisionByZero(b.value) if op == "/" else JetDomainError(op, a.value)
+        return jets.finite(op, jets.rule(op, a, b, c, math))
+    except (JetDomainError, JetDivisionByZero) as exc:
+        raise EvalError(str(exc), node.pos) from exc
+    except OverflowError as exc:
+        raise EvalError(f"{op} overflows the float range", node.pos) from exc
+
+
 def eval_value(node: Ast, at: tuple[float, float]) -> float:
     """Oracle for pbcurv.exprlang.eval_jet: plain float evaluation, no jet arithmetic."""
     if isinstance(node, Constant):
         return node.value
     if isinstance(node, Variable):
-        return float(at[node.index])
+        return float(at[VARIABLES.index(node.name)])
     if isinstance(node, Neg):
         return -eval_value(node.child, at)
     if isinstance(node, BinOp):

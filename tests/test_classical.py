@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -12,20 +13,20 @@ from pbcurv.classical import (
     classical_gauss,
     classical_mean,
     classical_normal_frame,
-    det_g_jet,
     evaluate_embedding,
     induced_metric,
     normal_projector,
     pivoted_orthonormalize,
     second_fundamental,
 )
-from pbcurv.errors import DegenerateMetricError, FrameConstructionError
+from pbcurv.errors import DegenerateMetricError, EvalError, FrameConstructionError
 from pbcurv.exprlang import parse_expression
 from pbcurv.surfaces import CATALOG
 from pbcurv.tensor import AmbientSignature
 
 from helpers import (
     clear_of_degeneracy,
+    det_g_jet,
     interior_points,
     looped_orthonormalize,
     metric_jets,
@@ -107,6 +108,16 @@ def test_degenerate_metric_raises():
         induced_metric(emb)
     # the command line names the point; the library message states the failure
     assert str(err.value) == "induced metric is singular: det g = 0.0"
+
+
+def test_overflowing_coordinate_raises_without_a_numpy_warning():
+    # the jet of the product overflows in numpy arrays; only the EvalError may leave
+    coords = [parse_expression(s) for s in ("u", "v", "exp(400*u)*exp(400*u)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EvalError) as err:
+            evaluate_embedding(AmbientSignature(3, 0), coords, (1.0, 0.5))
+    assert str(err.value) == "mul overflows at value inf (expression offset 10)"
 
 
 def test_sphere_frame_and_second_form():

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbcurv
-from pbcurv import cli, poisson
+from pbcurv import classical, cli, exprlang, poisson, surfaces
 from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
 from pbcurv.errors import ConfigError, DegenerateMetricError
@@ -142,6 +142,16 @@ def test_config_rejects_bad_expression():
             'm = 3\nnu = 0\ncoords = ["u", "v", "sin(u"]\ndomain = [0, 1, 0, 1]\n'
         )
     assert "offset" in str(err.value)
+
+
+def test_parser_faults_are_not_hidden_as_config_errors(monkeypatch):
+    # only the package's own errors become "bad coordinate expression"
+    def crash(source):
+        raise ZeroDivisionError("fault inside the parser")
+
+    monkeypatch.setattr(surfaces, "parse_expression", crash)
+    with pytest.raises(ZeroDivisionError, match="fault inside the parser"):
+        parse_config('m = 3\nnu = 0\ncoords = ["u", "v", "u"]\ndomain = [0, 1, 0, 1]\n')
 
 
 # --- curvature -------------------------------------------------------------
@@ -887,6 +897,53 @@ def test_jet_derivative_overflow_names_the_derivative(tmp_path, capsys):
     assert out == ""
     assert "mul overflows in its Hessian at value 1.6504930371952425e-156" in err
     assert "undefined" not in err
+
+
+def _graph_config(tmp_path, coord, name="graph"):
+    """The graph (u, v, coord) over [0.1, 1]^2, whose 4x4 grid starts at (0.4, 0.4)."""
+    cfg = tmp_path / f"{name}.surface"
+    cfg.write_text(
+        f'm = 3\nnu = 0\ncoords = ["u", "v", "{coord}"]\n'
+        "domain = [0.1, 1, 0.1, 1]\ngrid = [4, 4]\n"
+    )
+    return str(cfg)
+
+
+@pytest.mark.parametrize(
+    ("coord", "fault"),
+    [("ln(u - 0.5) + sqrt(v - 0.5)", "ln"), ("sqrt(v - 0.5)*ln(u - 0.5)", "sqrt")],
+)
+@pytest.mark.parametrize("extra", [[], ["--compare"]], ids=["plain", "compare"])
+def test_two_faults_at_one_point_name_the_leftmost(coord, fault, extra, tmp_path, capsys):
+    # both operands leave their domain at (0.4, 0.4); the error names the one read first
+    code, out, err = run_cli(["curvature", _graph_config(tmp_path, coord), *extra], capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"geometric error: at (u, v) = (0.4, 0.4): {fault} is undefined at value "
+        "-0.09999999999999998 (expression offset 0)\n"
+    )
+
+
+def test_equal_coordinates_report_their_own_offsets(tmp_path, capsys):
+    # the two ASTs compare equal (equality ignores offsets), and each run
+    # of one process reports its own
+    for spaces in (0, 3):
+        cfg = _graph_config(tmp_path, " " * spaces + "ln(u - 0.5)", f"spaces{spaces}")
+        code, out, err = run_cli(["curvature", cfg], capsys)
+        assert (code, out) == (3, "")
+        assert err.endswith(f"-0.09999999999999998 (expression offset {spaces})\n")
+
+
+def test_each_parsed_root_compiles_once(tmp_path, capsys, monkeypatch):
+    compiled = _count_calls(monkeypatch, exprlang, "compile_tape")
+    evaluated = _count_calls(monkeypatch, classical, "eval_jet")
+    cfg = _graph_config(tmp_path, "sin(u)*cos(v)")
+    code, _, err = run_cli(["curvature", cfg, "--grid", "6x6", "--compare"], capsys)
+    assert (code, err) == (0, "")
+    assert len(evaluated) == 16 * 3  # 16 points, 3 coordinates each
+    roots = [exprs for (exprs,) in compiled]
+    assert [len(exprs) for exprs in roots] == [1, 1, 1]
+    assert len({id(exprs[0]) for exprs in roots}) == 3
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from pbcurv.exprlang import (
 from pbcurv.jets import FUNCTIONS
 from pbcurv.surfaces import CATALOG
 
-from helpers import eval_value
+from helpers import eval_value, walk_jet
 
 
 def test_tokenize_basic():
@@ -192,15 +192,17 @@ def test_grouping_and_signs_parse_to_their_tree(source, tree):
     assert parse_expression(source) == tree
 
 
-# --- the compiled tape against eval_jet ----------------------------------
+# --- the compiled tape against the recursive walk ---------------------------
 
-# Constants and coordinates of moderate size: the tape and eval_jet differ
+# Constants and coordinates of moderate size: the batch and a point differ
 # in the last place of a function value, and at coordinates like 1e-105
 # cos(v^0.5) cancels 1e104-sized Hessian terms, which magnifies that to
 # any size.  The property holds where the jets are well conditioned.
+# Each node gets its own offset, so an error names which node failed.
+_POS = st.integers(0, 999)
 _LEAVES = st.one_of(
-    st.sampled_from([Variable("u"), Variable("v")]),
-    st.integers(-300, 300).map(lambda k: Constant(k / 100)),
+    st.builds(Variable, st.sampled_from(["u", "v"]), _POS),
+    st.builds(Constant, st.integers(-300, 300).map(lambda k: k / 100), _POS),
 )
 _EXPONENTS = st.integers(-3, 4).map(float) | st.sampled_from([0.5, 1.5, -0.5, 1.0 / 3.0])
 _COORDINATE = st.floats(0.1, 1.5) | st.floats(-1.5, -0.1)
@@ -212,10 +214,13 @@ def _grammar(arithmetic_only: bool):
 
     def extend(child):
         ops = "+-*" if arithmetic_only else "+-*/"
-        nodes = [st.builds(BinOp, st.sampled_from(list(ops)), child, child), st.builds(Neg, child)]
+        nodes = [
+            st.builds(BinOp, st.sampled_from(list(ops)), child, child, _POS),
+            st.builds(Neg, child, _POS),
+        ]
         if not arithmetic_only:
-            nodes.append(st.builds(PowConst, child, _EXPONENTS))
-            nodes.append(st.builds(Call, st.sampled_from(FUNCTIONS), child))
+            nodes.append(st.builds(PowConst, child, _EXPONENTS, _POS))
+            nodes.append(st.builds(Call, st.sampled_from(FUNCTIONS), child, _POS))
         return st.one_of(nodes)
 
     return st.recursive(_LEAVES, extend, max_leaves=10)
@@ -228,11 +233,32 @@ def _tape_rows(ast, points):
     return values[0], grads[0], hessians[0], bad
 
 
-def _jet_or_none(ast, at):
+def _walk_or_error(ast, at):
+    """The oracle's jet, or its EvalError as (message, offset)."""
     try:
-        return eval_jet(ast, at)
-    except Exception:  # any raise must be flagged by the tape
-        return None
+        with np.errstate(all="ignore"):  # jets.finite checks every node
+            return walk_jet(ast, at)
+    except EvalError as exc:
+        return str(exc), exc.position
+
+
+def _same_bits(jet, value, grad, hess):
+    return (
+        np.float64(jet.value).tobytes() == np.float64(value).tobytes()
+        and np.asarray(jet.grad).tobytes() == np.asarray(grad).tobytes()
+        and np.asarray(jet.hess).tobytes() == np.asarray(hess).tobytes()
+    )
+
+
+def _check_point_layout(ast, at, ref):
+    """eval_jet gives the oracle's bits, or its error at the same offset."""
+    if isinstance(ref, tuple):
+        with pytest.raises(EvalError) as err:
+            eval_jet(ast, at)
+        assert (str(err.value), err.value.position) == ref, (ast, at)
+    else:
+        jet = eval_jet(ast, at)
+        assert _same_bits(jet, ref.value, ref.grad, ref.hess), (ast, at)
 
 
 @settings(max_examples=400)
@@ -240,15 +266,14 @@ def _jet_or_none(ast, at):
 def test_tape_flags_every_eval_jet_error_and_agrees_elsewhere(ast, points):
     values, grads, hessians, bad = _tape_rows(ast, points)
     for n, at in enumerate(points):
-        jet = _jet_or_none(ast, at)
-        if jet is None:
-            assert bad[n], (ast, at)
-            continue
+        ref = _walk_or_error(ast, at)
+        _check_point_layout(ast, at, ref)
+        assert bad[n] == isinstance(ref, tuple), (ast, at)
         if bad[n]:
             continue
-        for ours, ref in ((values[n], jet.value), (grads[n], jet.grad), (hessians[n], jet.hess)):
-            err = np.abs(np.asarray(ours) - ref)
-            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref))), (ast, at, ours, ref)
+        for ours, want in ((values[n], ref.value), (grads[n], ref.grad), (hessians[n], ref.hess)):
+            err = np.abs(np.asarray(ours) - want)
+            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), (ast, at, ours, want)
 
 
 @settings(max_examples=300)
@@ -256,18 +281,18 @@ def test_tape_flags_every_eval_jet_error_and_agrees_elsewhere(ast, points):
 def test_tape_gives_eval_jet_bits_on_sums_and_products(ast, points):
     values, grads, hessians, bad = _tape_rows(ast, points)
     for n, at in enumerate(points):
-        jet = _jet_or_none(ast, at)
-        assert bad[n] == (jet is None), (ast, at)
-        if jet is not None:
-            assert np.float64(jet.value).tobytes() == values[n].tobytes(), (ast, at)
-            assert jet.grad.tobytes() == grads[n].tobytes(), (ast, at)
-            assert jet.hess.tobytes() == hessians[n].tobytes(), (ast, at)
+        ref = _walk_or_error(ast, at)
+        _check_point_layout(ast, at, ref)
+        assert bad[n] == isinstance(ref, tuple), (ast, at)
+        if not bad[n]:
+            assert _same_bits(ref, values[n], grads[n], hessians[n]), (ast, at)
 
 
 def test_tape_shares_equal_subtrees():
     ring = "(2 + cos(u))"
     asts = [parse_expression(f"{ring}*cos(v)"), parse_expression(f"{ring}*sin(v)")]
     tape = compile_tape(asts)
-    # u, v, 2, cos(u), 2 + cos(u), cos(v), product, sin(v), product
-    assert len(tape.code) == 9
-    assert [op for op, _, _ in tape.code].count("cos") == 2
+    # left operand first: 2, u, cos(u), 2 + cos(u), v, cos(v), product, sin(v), product
+    assert [op for op, _, _ in tape.code] == ["const", "u", "cos", "+", "v", "cos", "*", "sin", "*"]
+    # a shared slot keeps the offset of its first occurrence
+    assert tape.pos == (1, 9, 5, 3, 17, 13, 12, 13, 12)

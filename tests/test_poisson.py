@@ -10,7 +10,6 @@ from pbcurv.classical import (
     classical_gauss,
     classical_mean,
     classical_normal_frame,
-    det_g_jet,
     evaluate_embedding,
     induced_metric,
     normal_projector,
@@ -55,6 +54,7 @@ import helpers
 from helpers import (
     arc_sphere,
     clear_of_degeneracy,
+    det_g_jet,
     error_scales,
     gauss_naive,
     interior_points,

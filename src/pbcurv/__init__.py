@@ -12,7 +12,7 @@ from .classical import (
     second_fundamental,
 )
 from .errors import PbcurvError
-from .exprlang import parse_expression
+from .exprlang import Exprs, parse_expression
 from .jets import Jet1, Jet2
 from .poisson import (
     BracketTable,
@@ -40,6 +40,7 @@ __all__ = [
     "CATALOG",
     "DensityChoice",
     "EmbeddingEval",
+    "Exprs",
     "InducedMetric",
     "Jet1",
     "Jet2",

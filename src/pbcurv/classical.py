@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMetricError, FrameConstructionError, NonFiniteCurvatureError
-from .exprlang import Ast, eval_jet
+from .exprlang import Exprs, eval_jet
 from .jets import Jet2
 from .tensor import AmbientSignature
 
@@ -133,10 +133,10 @@ def _flagged(mask) -> bool:
 
 
 def evaluate_embedding(
-    sig: AmbientSignature, coords: list[Ast], at: tuple[float, float]
+    sig: AmbientSignature, coords: Exprs, at: tuple[float, float]
 ) -> EmbeddingEval:
-    """Evaluate coordinate expressions to jets at a parameter point."""
-    return EmbeddingEval(sig, [eval_jet(ast, at) for ast in coords], at)
+    """Evaluate coordinate expressions to jets at a parameter point: one walk of their tape."""
+    return EmbeddingEval(sig, eval_jet(coords.tape, at), at)
 
 
 @dataclass(eq=False)

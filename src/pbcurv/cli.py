@@ -50,7 +50,7 @@ from .poisson import (
     weingarten_frame,
     zmap_invariants,
 )
-from .exprlang import compile_tape, eval_tape, parse_expression
+from .exprlang import eval_tape, parse_expression
 from .surfaces import SurfaceSpec, grid_points, load_spec
 
 # Most floats in one (N, m, m, m) array of a plain curvature chunk; this
@@ -226,21 +226,25 @@ def _record(
     return record
 
 
-def _plain_chunk(spec: SurfaceSpec, rho: DensityChoice, tape, u, v):
+def _plain_chunk(spec: SurfaceSpec, rho: DensityChoice, u, v):
     """K (N,) and H (N, m) of the "plain" level for N points, batch axis first.
 
-    Runs the stages of _record on arrays.  Also returns the rows to
-    recompute through _record: every row where one of its checks could
-    refuse the point, so that the point's own error, or its record, comes
-    from the per-point path.
+    Runs the stages of _record on arrays, walking the same tapes as its
+    points do.  Also returns the rows to recompute through _record: every
+    row where one of its checks could refuse the point, so that the
+    point's own error, or its record, comes from the per-point path.
     """
-    sig, m = spec.signature, spec.m
-    values, grads, hessians, bad = eval_tape(tape, u, v)
-    e = np.ascontiguousarray(grads[:m].transpose(1, 2, 0))  # (N, 2, m)
-    xdd = np.ascontiguousarray(hessians[:m].transpose(1, 0, 2, 3))  # (N, m, 2, 2)
+    sig = spec.signature
+    _, grads, hessians, bad = eval_tape(spec.coord_asts.tape, u, v)
+    e = np.ascontiguousarray(grads.transpose(1, 2, 0))  # (N, 2, m)
+    xdd = np.ascontiguousarray(hessians.transpose(1, 0, 2, 3))  # (N, m, 2, 2)
     e, xdd, l, p = normalise_rows(e, xdd)
     _, det_g, non_finite, singular = metric_rows(sig.gbar, e)
-    expr = (values[m], grads[m]) if rho.kind == "expression" else None
+    expr = None
+    if rho.kind == "expression":
+        expr_values, expr_grads, _, expr_bad = eval_tape(rho.expr.tape, u, v)
+        expr = (expr_values[0], expr_grads[0])
+        bad |= expr_bad
     rv, rho_grad, vanishes = density_rows(rho, sig.gbar, e, xdd, p, expr)
     P, Pgrad, rv, _ = bracket_rows(e, xdd, rv, rho_grad)
     T = nested_bracket_rows(e, Pgrad, rv)
@@ -255,8 +259,6 @@ def _plain_chunk(spec: SurfaceSpec, rho: DensityChoice, tape, u, v):
 
 def _plain_records(spec: SurfaceSpec, rho: DensityChoice, points) -> list[dict | None]:
     """The "plain" records of all points, in chunks; None for a row to recompute."""
-    exprs = [*spec.coord_asts, *([rho.expr] if rho.kind == "expression" else [])]
-    tape = compile_tape(exprs)
     h_cols = [f"H_full_{i}" for i in range(1, spec.m + 1)]
     size = max(1, CHUNK_FLOATS // spec.m**3)
     records: list[dict | None] = []
@@ -265,7 +267,7 @@ def _plain_records(spec: SurfaceSpec, rho: DensityChoice, points) -> list[dict |
         u = np.array([pt[2] for pt in chunk])
         v = np.array([pt[3] for pt in chunk])
         with np.errstate(all="ignore"):  # flagged rows are recomputed, not warned about
-            k, h, bad = _plain_chunk(spec, rho, tape, u, v)
+            k, h, bad = _plain_chunk(spec, rho, u, v)
         for (_, _, pu, pv), kk, hh, flagged in zip(chunk, k.tolist(), h.tolist(), bad.tolist()):
             record = {"u": pu, "v": pv, "status": "ok", "K_full": kk, **dict(zip(h_cols, hh))}
             records.append(None if flagged else record)

@@ -286,7 +286,8 @@ class Tape:
     function name.  Equal subtrees (ASTs compare without positions) share
     one slot, and pos[k] is the offset of the first.  outputs[j] is the slot
     of the j-th expression; dead[k] lists the slots no instruction after k
-    reads.  A parsed root keeps its own tape, which eval_jet walks.
+    reads.  A parsed root keeps its own tape, and an Exprs one tape for all
+    its roots; eval_jet walks it at one point, eval_tape at N.
     """
 
     code: tuple[tuple[str, tuple[int, ...], float], ...]
@@ -341,12 +342,19 @@ def compile_tape(exprs: Sequence[Ast]) -> Tape:
     return Tape(code, tuple(p for _, p in first.values()), outputs, tuple(map(tuple, dead)))
 
 
-def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
-    """The order-2 jet of node at the point `at`: node's tape walked with math.
+class Exprs(tuple):
+    """Parsed roots that share one tape, compiled on first use and kept."""
+
+    @cached_property
+    def tape(self) -> Tape:
+        return compile_tape(self)
+
+
+def eval_jet(tape: Tape, at: tuple[float, float]) -> list[Jet2]:
+    """The order-2 jets of the tape's expressions at the point `at`, walked with math.
 
     The first instruction outside its domain, or not finite, raises EvalError at its offset.
     """
-    tape = node.tape if isinstance(node, _Node) else compile_tape([node])
     slots: list[Jet2] = []
     with np.errstate(all="ignore"):  # jets.finite checks every instruction
         for (op, args, c), pos in zip(tape.code, tape.pos):
@@ -365,7 +373,7 @@ def eval_jet(node: Ast, at: tuple[float, float]) -> Jet2:
                 raise EvalError(str(exc), pos) from exc
             except OverflowError as exc:  # math.exp, math.cosh and float ** raise it
                 raise EvalError(f"{op} overflows the float range", pos) from exc
-    return slots[tape.outputs[0]]
+    return [slots[k] for k in tape.outputs]
 
 
 # A batch jet over N points (jets.py's layout, N last); constants and

@@ -99,7 +99,7 @@ def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
     expr = None
     if choice.kind == "expression":
         assert choice.expr is not None
-        jet = eval_jet(choice.expr, emb.at)
+        (jet,) = eval_jet(choice.expr.tape, emb.at)
         expr = (np.array([jet.value]), jet.grad[None])
     value, grad, vanishes = density_rows(
         choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), expr
@@ -650,8 +650,8 @@ def double_trace_check(
     rv = table.rho.value
     e = emb.e
     at = (math.ldexp(emb.at[0], emb.p), math.ldexp(emb.at[1], emb.p))
-    f = eval_jet(f_ast, at)
-    h = eval_jet(h_ast, at)
+    (f,) = eval_jet(f_ast.tape, at)
+    (h,) = eval_jet(h_ast.tape, at)
 
     def scaled_bracket(scalar: Jet2, idx: int) -> np.ndarray:
         nvec = frame.vectors[idx]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, PbcurvError, UsageError
-from .exprlang import Ast, parse_expression
+from .exprlang import Exprs, parse_expression
 from .poisson import DensityChoice
 from .tensor import AmbientSignature
 
@@ -36,7 +36,7 @@ class SurfaceSpec:
     grid: tuple[int, int] = (8, 8)
     rho: str = "sqrt_abs_g"
     excluded_margins: float = 0.0
-    coord_asts: list[Ast] = field(init=False)
+    coord_asts: Exprs = field(init=False)
 
     def __post_init__(self) -> None:
         if self.m != len(self.coords):
@@ -57,13 +57,11 @@ class SurfaceSpec:
         if not (u0 < u1 and v0 < v1):
             raise ConfigError(f"empty parameter domain {self.domain}")
         try:
-            self.coord_asts = [parse_expression(c) for c in self.coords]
+            self.coord_asts = Exprs(parse_expression(c) for c in self.coords)
         except PbcurvError as exc:
             raise ConfigError(f"bad coordinate expression: {exc}") from exc
         try:
             DensityChoice.from_string(self.rho)
-        except ConfigError:
-            raise
         except PbcurvError as exc:
             raise ConfigError(str(exc)) from exc
 

@@ -20,7 +20,7 @@ from pbcurv.classical import (
     second_fundamental,
 )
 from pbcurv.errors import DegenerateMetricError, EvalError, FrameConstructionError
-from pbcurv.exprlang import parse_expression
+from pbcurv.exprlang import Exprs, parse_expression
 from pbcurv.surfaces import CATALOG
 from pbcurv.tensor import AmbientSignature
 
@@ -102,7 +102,7 @@ def test_metric_jets_match_value_and_fd():
 
 def test_degenerate_metric_raises():
     sig = AmbientSignature(3, 1)
-    coords = [parse_expression(s) for s in ("u", "u", "v")]
+    coords = Exprs(parse_expression(s) for s in ("u", "u", "v"))
     emb = evaluate_embedding(sig, coords, (0.5, 0.5))
     with pytest.raises(DegenerateMetricError) as err:
         induced_metric(emb)
@@ -112,7 +112,7 @@ def test_degenerate_metric_raises():
 
 def test_overflowing_coordinate_raises_without_a_numpy_warning():
     # the jet of the product overflows in numpy arrays; only the EvalError may leave
-    coords = [parse_expression(s) for s in ("u", "v", "exp(400*u)*exp(400*u)")]
+    coords = Exprs(parse_expression(s) for s in ("u", "v", "exp(400*u)*exp(400*u)"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(EvalError) as err:
@@ -248,7 +248,7 @@ def test_null_tangents_nondegenerate_metric():
     # both tangents are null but the metric is not: det g = -1/4, and
     # the frame construction still finds a spacelike normal
     sig = AmbientSignature(3, 1)
-    coords = [parse_expression(s) for s in ("(u + v)/2", "(u - v)/2", "0")]
+    coords = Exprs(parse_expression(s) for s in ("(u + v)/2", "(u - v)/2", "0"))
     emb = evaluate_embedding(sig, coords, (0.4, 0.1))
     met = induced_metric(emb)
     assert met.det_g == pytest.approx(-0.25, rel=1e-14)

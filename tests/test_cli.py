@@ -744,14 +744,17 @@ def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
 # --- console entry point -----------------------------------------------------
 
 
-def run_module(args):
-    """Run `python -m pbcurv.cli` on the pbcurv this process imports, installed or not."""
+def run_python(args):
+    """Run this interpreter on the pbcurv this process imports, installed or not."""
     src = str(Path(pbcurv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "pbcurv.cli", *args], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(args):
+    """Run `python -m pbcurv.cli`, as run_python does."""
+    return run_python(["-m", "pbcurv.cli", *args])
 
 
 def test_closed_stdout_exits_one_without_a_traceback():
@@ -940,10 +943,54 @@ def test_each_parsed_root_compiles_once(tmp_path, capsys, monkeypatch):
     cfg = _graph_config(tmp_path, "sin(u)*cos(v)")
     code, _, err = run_cli(["curvature", cfg, "--grid", "6x6", "--compare"], capsys)
     assert (code, err) == (0, "")
-    assert len(evaluated) == 16 * 3  # 16 points, 3 coordinates each
-    roots = [exprs for (exprs,) in compiled]
-    assert [len(exprs) for exprs in roots] == [1, 1, 1]
-    assert len({id(exprs[0]) for exprs in roots}) == 3
+    # one compile of the 3 coordinates, then one walk of their tape per point
+    assert [len(exprs) for (exprs,) in compiled] == [3]
+    assert len(evaluated) == 16
+    assert len({id(tape) for tape, _ in evaluated}) == 1
+
+
+_IMPORT_COMPILES = """
+import sys
+calls = []
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_name == "compile_tape" and code.co_filename.endswith("exprlang.py"):
+        calls.append(1)
+
+sys.setprofile(profile)
+import pbcurv.cli
+sys.setprofile(None)
+print(len(calls))
+"""
+
+
+def test_one_compile_per_tape_owner(tmp_path, capsys, monkeypatch):
+    # importing the catalog and the CLI's own densities compiles nothing
+    proc = run_python(["-c", _IMPORT_COMPILES])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    compiled = _count_calls(monkeypatch, exprlang, "compile_tape")
+    batched = _count_calls(monkeypatch, cli, "eval_tape")
+    coords = _count_calls(monkeypatch, classical, "eval_jet")
+    densities = _count_calls(monkeypatch, poisson, "eval_jet")
+    # the 5x3 grid's middle row, u = 0.55, is flagged by the batch and recomputed per point
+    grid = ["--grid", "5x3", "--skip-degenerate"]
+    code, out, err = run_cli(["curvature", _graph_config(tmp_path, "1/(u - 0.55)"), *grid], capsys)
+    assert (code, err) == (0, "")
+    assert [row["status"][:8] for row in parse_csv(out)[1]] == ["ok", "skipped:", "ok"]
+    assert [len(exprs) for (exprs,) in compiled] == [3]
+    assert (len(batched), len(coords), len(densities)) == (1, 1, 0)
+    assert coords[0][0] is batched[0][0]  # the recomputed row walks the batch's tape
+    # an expr: density is one more tape, walked by both layouts
+    for calls in (compiled, batched, coords):
+        calls.clear()
+    rho = ["--rho", "expr:1/(u - 0.55)"]
+    code, out, err = run_cli(["curvature", _graph_config(tmp_path, "u*v"), *grid, *rho], capsys)
+    assert (code, err) == (0, "")
+    assert [row["status"][:8] for row in parse_csv(out)[1]] == ["ok", "skipped:", "ok"]
+    assert [len(exprs) for (exprs,) in compiled] == [3, 1]
+    assert (len(batched), len(coords), len(densities)) == (2, 1, 1)
+    assert coords[0][0] is batched[0][0] and densities[0][0] is batched[1][0]
 
 
 @pytest.mark.parametrize(

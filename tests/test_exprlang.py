@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pbcurv.exprlang import (
     BinOp,
     Call,
     Constant,
+    Exprs,
     Neg,
     PowConst,
     Variable,
@@ -105,7 +107,7 @@ def test_unknown_identifier_rejected_at_parse():
 )
 def test_depth_limit_is_exact(make):
     # MAX_DEPTH levels parse and evaluate; one more is a ParseError naming the limit
-    assert eval_jet(parse_expression(make(MAX_DEPTH)), (0.3, 0.4)).value != 0.0
+    assert eval_jet(parse_expression(make(MAX_DEPTH)).tape, (0.3, 0.4))[0].value != 0.0
     with pytest.raises(ParseError, match=f"more than {MAX_DEPTH} levels"):
         parse_expression(make(MAX_DEPTH + 1))
 
@@ -131,14 +133,14 @@ def test_predefined_constants():
 
 
 def test_eval_jet_product():
-    j = eval_jet(parse_expression("u*v"), (2.0, 3.0))
+    (j,) = eval_jet(parse_expression("u*v").tape, (2.0, 3.0))
     assert j.value == 6.0
     assert np.array_equal(j.grad, [3.0, 2.0])
     assert np.array_equal(j.hess, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_eval_jet_cosh():
-    j = eval_jet(parse_expression("cosh(u)"), (0.0, 0.0))
+    (j,) = eval_jet(parse_expression("cosh(u)").tape, (0.0, 0.0))
     assert j.value == 1.0
     assert np.array_equal(j.grad, [0.0, 0.0])
     assert np.array_equal(j.hess, [[1.0, 0.0], [0.0, 0.0]])
@@ -147,15 +149,16 @@ def test_eval_jet_cosh():
 def test_eval_domain_error_carries_position():
     ast = parse_expression("1 + sqrt(u)")
     with pytest.raises(EvalError) as err:
-        eval_jet(ast, (-1.0, 0.0))
+        eval_jet(ast.tape, (-1.0, 0.0))
     assert err.value.position == 4
     with pytest.raises(EvalError):
-        eval_jet(parse_expression("1/u"), (0.0, 1.0))
+        eval_jet(parse_expression("1/u").tape, (0.0, 1.0))
 
 
 def test_eval_jet_rejects_a_non_ast():
+    # compiling the tree meets the bad operand
     with pytest.raises(TypeError, match="not an AST node"):
-        eval_jet(BinOp("+", Variable("u"), "v"), (0.0, 1.0))
+        eval_jet(BinOp("+", Variable("u"), "v").tape, (0.0, 1.0))
 
 
 def test_eval_value_matches_eval_jet():
@@ -167,7 +170,7 @@ def test_eval_value_matches_eval_jet():
         for _ in range(5):
             at = tuple(rng.uniform(-1.2, 1.2, size=2))
             plain = eval_value(ast, at)
-            jet = eval_jet(ast, at).value
+            jet = eval_jet(ast.tape, at)[0].value
             assert jet == pytest.approx(plain, rel=1e-15, abs=1e-15)
 
 
@@ -226,11 +229,38 @@ def _grammar(arithmetic_only: bool):
     return st.recursive(_LEAVES, extend, max_leaves=10)
 
 
-def _tape_rows(ast, points):
-    values, grads, hessians, bad = eval_tape(
-        compile_tape([ast]), np.array([p[0] for p in points]), np.array([p[1] for p in points])
-    )
-    return values[0], grads[0], hessians[0], bad
+def _roots(arithmetic_only: bool):
+    """1-3 roots that share a subtree on purpose.
+
+    Each root is the shared tree (the same object, or an equal copy with its
+    own offset), another tree, or the two joined by an operator.
+    """
+    grammar = _grammar(arithmetic_only)
+    ops = list("+-*" if arithmetic_only else "+-*/")
+
+    @st.composite
+    def roots(draw):
+        shared = draw(grammar)
+
+        def root():
+            how = draw(st.sampled_from(["shared", "copy", "other", "left", "right"]))
+            if how == "shared":
+                return shared
+            if how == "copy":
+                return replace(shared, pos=draw(_POS))
+            other = draw(grammar)
+            if how == "other":
+                return other
+            pair = (shared, other) if how == "left" else (other, shared)
+            return BinOp(draw(st.sampled_from(ops)), *pair, draw(_POS))
+
+        return [root() for _ in range(draw(st.integers(1, 3)))]
+
+    return roots()
+
+
+def _tape_rows(tape, points):
+    return eval_tape(tape, np.array([p[0] for p in points]), np.array([p[1] for p in points]))
 
 
 def _walk_or_error(ast, at):
@@ -250,42 +280,50 @@ def _same_bits(jet, value, grad, hess):
     )
 
 
-def _check_point_layout(ast, at, ref):
-    """eval_jet gives the oracle's bits, or its error at the same offset."""
-    if isinstance(ref, tuple):
+def _check_point_layout(tape, at, refs):
+    """eval_jet gives each root the oracle's bits, or the first failing root's error."""
+    errors = [ref for ref in refs if isinstance(ref, tuple)]
+    if errors:
         with pytest.raises(EvalError) as err:
-            eval_jet(ast, at)
-        assert (str(err.value), err.value.position) == ref, (ast, at)
+            eval_jet(tape, at)
+        assert (str(err.value), err.value.position) == errors[0], at
     else:
-        jet = eval_jet(ast, at)
-        assert _same_bits(jet, ref.value, ref.grad, ref.hess), (ast, at)
+        outs = eval_jet(tape, at)
+        assert len(outs) == len(refs)
+        for jet, ref in zip(outs, refs):
+            assert _same_bits(jet, ref.value, ref.grad, ref.hess), at
 
 
 @settings(max_examples=400)
-@given(ast=_grammar(arithmetic_only=False), points=_POINTS)
-def test_tape_flags_every_eval_jet_error_and_agrees_elsewhere(ast, points):
-    values, grads, hessians, bad = _tape_rows(ast, points)
+@given(roots=_roots(arithmetic_only=False), points=_POINTS)
+def test_tape_flags_every_eval_jet_error_and_agrees_elsewhere(roots, points):
+    tape = Exprs(roots).tape
+    values, grads, hessians, bad = _tape_rows(tape, points)
     for n, at in enumerate(points):
-        ref = _walk_or_error(ast, at)
-        _check_point_layout(ast, at, ref)
-        assert bad[n] == isinstance(ref, tuple), (ast, at)
-        if bad[n]:
-            continue
-        for ours, want in ((values[n], ref.value), (grads[n], ref.grad), (hessians[n], ref.hess)):
-            err = np.abs(np.asarray(ours) - want)
-            assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), (ast, at, ours, want)
+        refs = [_walk_or_error(root, at) for root in roots]
+        _check_point_layout(tape, at, refs)
+        assert bad[n] == any(isinstance(ref, tuple) for ref in refs), (roots, at)
+        for j, ref in enumerate(refs):
+            if isinstance(ref, tuple):
+                continue
+            rows = ((values[j, n], ref.value), (grads[j, n], ref.grad), (hessians[j, n], ref.hess))
+            for ours, want in rows:
+                err = np.abs(np.asarray(ours) - want)
+                assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(want))), (roots, at, ours, want)
 
 
 @settings(max_examples=300)
-@given(ast=_grammar(arithmetic_only=True), points=_POINTS)
-def test_tape_gives_eval_jet_bits_on_sums_and_products(ast, points):
-    values, grads, hessians, bad = _tape_rows(ast, points)
+@given(roots=_roots(arithmetic_only=True), points=_POINTS)
+def test_tape_gives_eval_jet_bits_on_sums_and_products(roots, points):
+    tape = Exprs(roots).tape
+    values, grads, hessians, bad = _tape_rows(tape, points)
     for n, at in enumerate(points):
-        ref = _walk_or_error(ast, at)
-        _check_point_layout(ast, at, ref)
-        assert bad[n] == isinstance(ref, tuple), (ast, at)
-        if not bad[n]:
-            assert _same_bits(ref, values[n], grads[n], hessians[n]), (ast, at)
+        refs = [_walk_or_error(root, at) for root in roots]
+        _check_point_layout(tape, at, refs)
+        assert bad[n] == any(isinstance(ref, tuple) for ref in refs), (roots, at)
+        for j, ref in enumerate(refs):
+            if not isinstance(ref, tuple):
+                assert _same_bits(ref, values[j, n], grads[j, n], hessians[j, n]), (roots, at)
 
 
 def test_tape_shares_equal_subtrees():

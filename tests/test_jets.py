@@ -15,7 +15,7 @@ def uv(at):
 
 
 def _jet(source, at):
-    return eval_jet(parse_expression(source), at)
+    return eval_jet(parse_expression(source).tape, at)[0]
 
 
 def _checked(op, a, b=None, c=0.0):

@@ -112,3 +112,31 @@ def test_no_recursion_in_src_outside_the_parser():
         if name not in RECURSION_ALLOWED
     ]
     assert found == []
+
+
+def named(source: str) -> set[str]:
+    """Every name the code of a module reads, imports or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_names_are_found():
+    source = "from .exprlang import compile_tape as c\nimport x\nx.eval_tape(t)\n# parse\n"
+    assert named(source) == {"compile_tape", "x", "eval_tape", "t"}
+
+
+def test_only_exprlang_compiles_tapes():
+    # a tape compiles behind its owner (Exprs.tape, a parsed root's tape), once
+    found = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "exprlang.py" and "compile_tape" in named(path.read_text())
+    ]
+    assert found == []

@@ -22,7 +22,7 @@ from pbcurv.errors import (
     UsageError,
     ZeroDensityError,
 )
-from pbcurv.exprlang import eval_jet, parse_expression
+from pbcurv.exprlang import Exprs, eval_jet, parse_expression
 from pbcurv.jets import Jet1, Jet2
 from pbcurv.poisson import (
     DensityChoice,
@@ -109,7 +109,7 @@ def test_sqrt_density_of_a_null_metric_vanishes_without_a_warning():
 def test_bracket_of_square_against_coordinate():
     # {u^2, v} with rho = 1: value 2u, gradient (2, 0)
     at = (3.0, 1.5)
-    f = eval_jet(parse_expression("u*u"), at)
+    f = eval_jet(parse_expression("u*u").tape, at)[0]
     g = Jet2.variable(2, at)
     br = poisson_bracket(f, g, Jet1.constant(1.0))
     assert isinstance(br, Jet1)
@@ -121,8 +121,7 @@ def test_bracket_antisymmetry_and_density_scaling():
     at = (0.7, -0.4)
     f = parse_expression("sin(u)*cosh(v)")
     g = parse_expression("u*v^2")
-    jf = eval_jet(f, at)
-    jg = eval_jet(g, at)
+    jf, jg = eval_jet(Exprs([f, g]).tape, at)
     one = Jet1.constant(1.0)
     ab = poisson_bracket(jf, jg, one)
     ba = poisson_bracket(jg, jf, one)
@@ -587,7 +586,7 @@ def test_reduced_contraction_runs_above_cap():
     m = len(coords)
     assert m > tensor.MAX_M
     sig = AmbientSignature(m, 0)
-    emb = evaluate_embedding(sig, [parse_expression(c) for c in coords], (0.4, 0.6))
+    emb = evaluate_embedding(sig, Exprs(parse_expression(c) for c in coords), (0.4, 0.6))
     met = induced_metric(emb)
     table = build_bracket_table(emb, SQRTG)
     k_full = gauss_full_from_table(table, emb, met)

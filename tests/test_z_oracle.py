@@ -35,7 +35,7 @@ from pbcurv.classical import (
     normal_projector,
 )
 from pbcurv.errors import FrameConstructionError
-from pbcurv.exprlang import parse_expression
+from pbcurv.exprlang import Exprs, parse_expression
 from pbcurv.poisson import (
     DensityChoice,
     ZData,
@@ -151,7 +151,7 @@ def test_projector_above_the_cap():
     coords = ["u", "v", "u*v", "u^2", "v^2", "sin(u)", "cos(v)", "u + v^2", "exp(0.3*u*v)"]
     sig = AmbientSignature(len(coords), 0)
     assert sig.m > MAX_M
-    emb = evaluate_embedding(sig, [parse_expression(c) for c in coords], (0.4, 0.6))
+    emb = evaluate_embedding(sig, Exprs(parse_expression(c) for c in coords), (0.4, 0.6))
     met = induced_metric(emb)
     table = build_bracket_table(emb, DensityChoice.sqrt_abs_g())
     zd = build_z(table, emb, met)

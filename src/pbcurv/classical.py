@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,29 +142,28 @@ def evaluate_embedding(
 
 @dataclass(eq=False)
 class InducedMetric:
-    """First fundamental form at one point."""
+    """First fundamental form at one point; its inverse and index are computed on first use."""
 
     gab: np.ndarray  # (2, 2)
     det_g: float
-    ind_g: int
-    ginv: np.ndarray  # (2, 2)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return inverse_rows(self.gab[None], np.array([self.det_g]))[0]  # (2, 2)
+
+    @cached_property
+    def ind_g(self) -> int:
+        return int(index_rows(self.gab[None], np.array([self.det_g]))[0])
 
 
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     gab, det, non_finite, singular = metric_rows(emb.sig.gbar, emb.e[None])
-    gab, det_g = gab[0], float(det[0])
+    det_g = float(det[0])
     if non_finite[0]:
         raise DegenerateMetricError(f"induced metric is not finite: det g = {det_g!r}")
     if singular[0]:
         raise DegenerateMetricError(f"induced metric is singular: det g = {det_g!r}")
-    ginv = (
-        np.array([[gab[1, 1], -gab[0, 1]], [-gab[1, 0], gab[0, 0]]]) / det_g
-    )
-    if det_g < 0.0:
-        ind_g = 1
-    else:
-        ind_g = 0 if gab[0, 0] > 0.0 else 2
-    return InducedMetric(gab, det_g, ind_g, ginv)
+    return InducedMetric(gab[0], det_g)
 
 
 def _gram_rows(gbar: np.ndarray, e: np.ndarray):
@@ -186,6 +186,16 @@ def metric_rows(gbar: np.ndarray, e: np.ndarray):
 
 # adj g = _ADJUGATE_SIGNS * g[::-1, ::-1] for a 2x2 g
 _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def inverse_rows(gab: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """g^ab = adj g / det g per row: (N, 2, 2)."""
+    return gab[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]
+
+
+def index_rows(gab: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The index of g per row: its count of negative eigenvalues, 0, 1 or 2."""
+    return np.where(det < 0.0, 1, np.where(gab[:, 0, 0] > 0.0, 0, 2))
 
 
 def det_g_rows(gbar: np.ndarray, e: np.ndarray, xdd: np.ndarray):
@@ -217,6 +227,88 @@ class _NullPivot(Exception):
     pass
 
 
+def orthonormal_rows(
+    candidates: np.ndarray,
+    inner_diag: np.ndarray,
+    max_count: int,
+    *,
+    null_tol: float,
+):
+    """Greedy Gram-Schmidt under a diagonal +-1 inner product, for N rows of candidates.
+
+    candidates is (N, c, m).  Each row runs the rule of
+    pivoted_orthonormalize on its own: all its residuals sit in one
+    array, each round projects them against the newest accepted vector
+    only (modified Gram-Schmidt), picks the residual w with the largest
+    |<w, w>| / |w|^2 and normalizes it by sqrt(|<w, w>|).  Near-ties go to
+    the lowest candidate index, so the pivot order does not jitter under
+    tiny parameter perturbations (definite signatures tie every candidate
+    at quality one).  Residuals much shorter than the round's longest are
+    left out of the tie: they are dominated by cancellation noise from the
+    projections, and normalizing one would contaminate the frame even
+    though its quality still looks perfect.  Candidates whose residual
+    shrinks below DROP_TOL times their original size are treated as
+    dependent and skipped.  Lengths are compared squared.
+
+    Returns the accepted vectors (N, max_count, m), valid up to each
+    row's count (N,), and their signs (N, max_count), 0 past the count;
+    the rows that stopped because only null residuals remained while
+    independent candidates still existed (count is then the number
+    accepted before); and the rows with a non-finite candidate, which
+    accept nothing.  Each row picks its own pivots, and every sum runs
+    over one residual alone (add.reduce over the last axis, as np.sum
+    sums one vector), so no row's rounding depends on the other rows of
+    its batch.
+    """
+    n, c, m = candidates.shape
+    first = np.arange(0, n * c, c)  # each row's first candidate in the flattened pool
+    vectors = np.zeros((n, max_count, m))
+    signs = np.zeros((n, max_count))
+    count = np.zeros(n, dtype=int)
+    non_finite = ~np.logical_and.reduce(np.isfinite(candidates.reshape(n, -1)), axis=1)
+    active = ~non_finite
+    last = np.full(n, -1.0)  # the best quality of each row's last round
+    resid = candidates
+    # a row that stopped is still computed, masked, until every row has stopped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pre = np.add.reduce(candidates * candidates, axis=2)  # squared lengths, as below
+        # inf or NaN where a candidate is dropped: it is never live
+        floor = DROP_TOL**2 * pre / (pre > DROP_TOL**2)
+        for k in range(max_count):
+            sq = np.add.reduce(resid * resid, axis=2)
+            weighted = inner_diag * resid
+            ips = np.add.reduce(weighted * resid, axis=2)
+            live = sq > floor  # others are numerically inside the accepted span
+            live &= sq >= 1e-6 * np.maximum.reduce(sq, axis=1, where=live, initial=0.0)[:, None]
+            quality = np.where(live, np.abs(ips) / sq, -1.0)
+            top = np.maximum.reduce(quality, axis=1)
+            last = np.where(active, top, last)
+            active &= top > null_tol  # below 0 no residual is live: the pool is exhausted
+            if not np.logical_or.reduce(active):
+                break
+            best = first + (quality >= (top - 1e-9)[:, None]).argmax(axis=1)
+            ip = ips.reshape(-1)[best]
+            sign = np.copysign(active, ip)  # +-1, and 0 where the row has stopped
+            vec = resid.reshape(-1, m)[best] / np.sqrt(np.abs(ip))[:, None]
+            vectors[:, k] = vec
+            signs[:, k] = sign
+            count += active
+            proj = sign[:, None] * np.add.reduce(weighted * vec[:, None], axis=2)
+            resid = resid - proj[:, :, None] * vec[:, None]
+    null = (last >= 0.0) & (last <= null_tol)
+    return vectors, signs.astype(int), count, null, non_finite
+
+
+def _first_row(vectors, signs, count, null, non_finite):
+    """Row 0 of orthonormal_rows as (vectors, signs), or the error that ended it."""
+    if non_finite[0]:
+        raise FrameConstructionError("normal candidates are non-finite")
+    k = int(count[0])
+    if null[0]:
+        raise _NullPivot(k)
+    return vectors[0, :k], signs[0, :k]
+
+
 def pivoted_orthonormalize(
     candidates: np.ndarray,
     inner_diag: np.ndarray,
@@ -224,50 +316,25 @@ def pivoted_orthonormalize(
     *,
     null_tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy Gram-Schmidt under a diagonal +-1 inner product.
+    """orthonormal_rows on one row of candidates (c, m): the vectors and their signs.
 
-    All residuals sit in one array; each round projects them against the
-    newest accepted vector only (modified Gram-Schmidt), picks the residual
-    w with the largest |<w, w>| / |w|^2 and normalizes it by sqrt(|<w, w>|).
-    Near-ties go to the lowest candidate index, so the pivot order does not
-    jitter under tiny parameter perturbations (definite signatures tie
-    every candidate at quality one).  Residuals much shorter than the
-    round's longest are left out of the tie: they are dominated by
-    cancellation noise from the projections, and normalizing one would
-    contaminate the frame even though its quality still looks perfect.
-    Candidates whose residual shrinks below DROP_TOL times their original
-    size are treated as dependent and skipped.  Raises _NullPivot if only
-    null residuals remain while independent candidates still exist, and
+    Raises _NullPivot, carrying the number accepted, if only null
+    residuals remain while independent candidates still exist, and
     FrameConstructionError if a candidate is not finite.
     """
-    if not np.isfinite(candidates).all():
-        raise FrameConstructionError("normal candidates are non-finite")
-    pre = np.sqrt(np.einsum("ij,ij->i", candidates, candidates))
-    keep = pre > DROP_TOL
-    resid, floor = candidates[keep], DROP_TOL * pre[keep]
-    accepted: list[np.ndarray] = []
-    signs: list[int] = []
-    while len(accepted) < max_count:
-        sq = np.einsum("ij,ij->i", resid, resid)
-        norms = np.sqrt(sq)
-        live = norms > floor  # others are numerically inside the accepted span
-        if not live.any():
-            break  # pool exhausted: the span is fully captured
-        live &= norms >= 1e-3 * norms[live].max()
-        # add.reduce sums each row as np.sum sums it alone: no rounding depends on the batch
-        weighted = inner_diag * resid
-        ips = np.add.reduce(weighted * resid, axis=1)
-        quality = np.divide(np.abs(ips), sq, out=np.full(len(sq), -1.0), where=live)
-        top = quality.max()
-        if top <= null_tol:
-            raise _NullPivot(len(accepted))
-        best = int(np.argmax(quality >= top - 1e-9))
-        sign = 1 if ips[best] > 0 else -1
-        vec = resid[best] / np.sqrt(abs(ips[best]))
-        resid = resid - (sign * np.add.reduce(weighted * vec, axis=1))[:, None] * vec
-        accepted.append(vec)
-        signs.append(sign)
-    return np.reshape(accepted, (len(accepted), candidates.shape[1])), np.array(signs, dtype=int)
+    return _first_row(*orthonormal_rows(candidates[None], inner_diag, max_count, null_tol=null_tol))
+
+
+def normal_frame_rows(sig: AmbientSignature, e: np.ndarray, ginv: np.ndarray, basis=None):
+    """classical_normal_frame for N points: orthonormal_rows of their normal candidates.
+
+    Each seed vector, a row of basis (the identity by default), loses its
+    tangential part v -> v - g^{ab} gbar(v, e_a) e_b first; e is (N, 2, m)
+    and ginv (N, 2, 2).
+    """
+    basis = np.eye(sig.m) if basis is None else basis
+    candidates = basis - (basis * sig.gbar) @ e.transpose(0, 2, 1) @ ginv @ e
+    return orthonormal_rows(candidates, sig.gbar, sig.codim, null_tol=1e-10)
 
 
 def classical_normal_frame(
@@ -279,22 +346,16 @@ def classical_normal_frame(
 
     Each seed vector is first projected off the tangent plane using the
     inverse induced metric, then the pool is orthonormalized under gbar
-    with greedy pivoting on |gbar(w, w)| / |w|^2.  The result satisfies
-    gbar(N_A, N_B) = sigma_A delta_AB with sigma_A = +-1.
+    with greedy pivoting on |gbar(w, w)| / |w|^2 (normal_frame_rows).  The
+    result satisfies gbar(N_A, N_B) = sigma_A delta_AB with sigma_A = +-1.
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
-    gbar = sig.gbar
-    basis = np.eye(m) if seed_basis is None else np.asarray(seed_basis, dtype=float)
-    if basis.shape != (m, m):
+    basis = None if seed_basis is None else np.asarray(seed_basis, dtype=float)
+    if basis is not None and basis.shape != (m, m):
         raise ValueError(f"seed basis must be {m}x{m}, got {basis.shape}")
-    # v -> v - g^{ab} gbar(v, e_a) e_b removes the tangential part.
-    pairings = np.einsum("ji,i,ai->ja", basis, gbar, emb.e)  # (m, 2)
-    candidates = basis - pairings @ met.ginv @ emb.e
     try:
-        vectors, signs = pivoted_orthonormalize(
-            candidates, gbar, p, null_tol=1e-10
-        )
+        vectors, signs = _first_row(*normal_frame_rows(sig, emb.e[None], met.ginv[None], basis))
     except _NullPivot as exc:
         raise FrameConstructionError(
             f"only null normal candidates remain after {exc.args[0]} vectors"
@@ -308,17 +369,43 @@ def classical_normal_frame(
 
 def second_fundamental(emb: EmbeddingEval, frame: NormalFrame) -> np.ndarray:
     """h[A, a, b] = gbar(d_a d_b x, N_A); symmetric in (a, b) exactly."""
-    return np.einsum("i,iab,Ai->Aab", emb.sig.gbar, emb.xdd, frame.vectors)
+    return second_fundamental_rows(emb.sig.gbar, emb.xdd[None], frame.vectors[None])[0]
+
+
+def second_fundamental_rows(gbar: np.ndarray, xdd: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """second_fundamental of N points: xdd (N, m, 2, 2) and normals (N, k, m) give (N, k, 2, 2)."""
+    n, k, m = vectors.shape
+    return ((vectors * gbar) @ xdd.reshape(n, m, 4)).reshape(n, k, 2, 2)
+
+
+def form_dets(h: np.ndarray) -> np.ndarray:
+    """det h_A over the last two axes, one per normal."""
+    return h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]
+
+
+def form_traces(ginv: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g^{ab} h_{A,ab} (N, p) for ginv (N, 2, 2) and h (N, p, 2, 2)."""
+    n, p = h.shape[:2]
+    return (h.reshape(n, p, 4) @ ginv.reshape(n, 4, 1))[:, :, 0]
 
 
 def classical_gauss(met: InducedMetric, frame: NormalFrame, h: np.ndarray) -> float:
-    dets = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    return float(np.sum(frame.sigma * dets) / met.det_g)
+    return float(classical_gauss_rows(np.array([met.det_g]), frame.sigma[None], h[None])[0])
+
+
+def classical_gauss_rows(det_g: np.ndarray, sigma: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """K = sum_A sigma_A det h_A / det g for N points."""
+    return np.add.reduce(sigma * form_dets(h), axis=1) / det_g
 
 
 def classical_mean(met: InducedMetric, frame: NormalFrame, h: np.ndarray) -> np.ndarray:
-    traces = np.einsum("ab,Aab->A", met.ginv, h)
-    return 0.5 * np.einsum("A,A,Ai->i", frame.sigma.astype(float), traces, frame.vectors)
+    return classical_mean_rows(met.ginv[None], frame.sigma[None], frame.vectors[None], h[None])[0]
+
+
+def classical_mean_rows(ginv, sigma, vectors, h) -> np.ndarray:
+    """H = 1/2 sum_A sigma_A (g^{ab} h_{A,ab}) N_A for N points: (N, m)."""
+    weights = sigma * form_traces(ginv, h)
+    return 0.5 * (weights[:, None, :] @ vectors)[:, 0]
 
 
 def normal_projector(sig: AmbientSignature, frame: NormalFrame) -> np.ndarray:
@@ -327,4 +414,9 @@ def normal_projector(sig: AmbientSignature, frame: NormalFrame) -> np.ndarray:
     Frame independent, so it is the natural object for comparing two
     normal frames of the same surface.
     """
-    return np.einsum("A,Ak,Al->kl", frame.sigma.astype(float), frame.vectors, frame.vectors)
+    return normal_projector_rows(frame.sigma[None], frame.vectors[None])[0]
+
+
+def normal_projector_rows(sigma: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """normal_projector of N frames: sigma (N, p) and vectors (N, p, m) give (N, m, m)."""
+    return (vectors * sigma[:, :, None]).transpose(0, 2, 1) @ vectors

@@ -393,6 +393,13 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     Each node applies jets.rule with numpy where eval_jet applies it with
     math, so + - * and negation give eval_jet's bits; the functions and
     powers may differ from math in the last place.
+
+    Values are checked at every node, since a function can take an
+    infinite value back to a finite one (tanh, exp, a reciprocal).
+    Derivatives are checked at the outputs only: every rule multiplies or
+    adds its operands' derivatives into its own, so a non-finite
+    derivative entry stays non-finite (inf or NaN, as 0 * inf is NaN) up
+    to an output, and every node feeds an output.
     """
     n = len(u)
     bad = np.zeros(n, dtype=bool)
@@ -406,14 +413,22 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
                 jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
             else:
                 jet = jets.rule(op, a, b, c, np)
-                finite = np.isfinite(jet.value) & np.isfinite(jet.grad).all(axis=0)
-                finite &= np.isfinite(jet.hess).all(axis=(0, 1))
-                bad |= ~finite | jets.outside(op, a, b, c)
+                bad |= ~np.isfinite(jet.value)
+                outside = jets.outside(op, a, b, c)
+                if outside is not False:
+                    bad |= outside
             slots[k] = jet
             for slot in tape.dead[k]:
                 slots[slot] = None
     outs = [slots[k] for k in tape.outputs]
-    values = np.stack([np.broadcast_to(j.value, (n,)) for j in outs])
-    grads = np.stack([np.broadcast_to(j.grad, (2, n)).T for j in outs])
-    hessians = np.stack([np.broadcast_to(j.hess, (2, 2, n)).transpose(2, 0, 1) for j in outs])
+    values, grads, hessians = (np.empty((len(outs), n, *shape)) for shape in ((), (2,), (2, 2)))
+    for out, jet in enumerate(outs):  # assignment broadcasts a constant over the rows
+        values[out] = jet.value
+        grads[out] = jet.grad.T
+        hessians[out] = jet.hess.transpose(2, 0, 1)
+    finite = _all(np.isfinite(grads.reshape(len(outs), n, -1)), axis=(0, 2))
+    bad |= ~(finite & _all(np.isfinite(hessians.reshape(len(outs), n, -1)), axis=(0, 2)))
     return values, grads, hessians, bad
+
+
+_all = np.logical_and.reduce

@@ -29,10 +29,11 @@ from .classical import (
     InducedMetric,
     NormalFrame,
     _NullPivot,
+    _first_row,
     det_g_rows,
     fail_closed,
     induced_metric,
-    pivoted_orthonormalize,
+    orthonormal_rows,
     underflowed,
 )
 from .errors import (
@@ -58,13 +59,17 @@ class DensityChoice:
     """Which symplectic density rho to use.
 
     kind is one of "unit", "sqrt_abs_g", "expression"; expression mode
-    carries a parsed expression in u and v.  All curvature outputs are
-    independent of this choice; varying it is a consistency check.
+    carries a parsed expression in u and v, the parameters of the surface,
+    or with normalised set those of its normalised point, 2^p (u, v) (see
+    EmbeddingEval.normalised), so that it varies on the scale of the
+    surface whatever the scale of its parameters.  All curvature outputs
+    are independent of this choice; varying it is a consistency check.
     """
 
     kind: str
     expr: Ast | None = None
     source: str = ""
+    normalised: bool = False
 
     @staticmethod
     def unit() -> DensityChoice:
@@ -75,8 +80,8 @@ class DensityChoice:
         return DensityChoice("sqrt_abs_g", None, "sqrt_abs_g")
 
     @staticmethod
-    def expression(source: str) -> DensityChoice:
-        return DensityChoice("expression", parse_expression(source), f"expr:{source}")
+    def expression(source: str, normalised: bool = False) -> DensityChoice:
+        return DensityChoice("expression", parse_expression(source), f"expr:{source}", normalised)
 
     @staticmethod
     def from_string(text: str) -> DensityChoice:
@@ -94,12 +99,13 @@ class DensityChoice:
 def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
     """Evaluate the density with its gradient in emb's parameters.
 
-    An expression is evaluated at emb.at, and its gradient times 2^-p.
+    An expression is evaluated at emb.at, and its gradient times 2^-p, or
+    with choice.normalised at 2^p emb.at (see density_rows).
     """
     expr = None
     if choice.kind == "expression":
         assert choice.expr is not None
-        (jet,) = eval_jet(choice.expr.tape, emb.at)
+        (jet,) = eval_jet(choice.expr.tape, normalised_at(emb) if choice.normalised else emb.at)
         expr = (np.array([jet.value]), jet.grad[None])
     value, grad, vanishes = density_rows(
         choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), expr
@@ -113,7 +119,9 @@ def density_rows(choice: DensityChoice, gbar, e, xdd, p, expr=None):
     """density_jet for N points: rho (N,), its gradient (N, 2), and the rows where it vanishes.
 
     e, xdd and p are the points' normalised jets and exponents; expr is the
-    expression's value (N,) and gradient (N, 2) at the original (u, v).
+    expression's value (N,) and gradient (N, 2) at the original (u, v), or
+    with choice.normalised at 2^p (u, v), where the gradient is already
+    one in the normalised parameters.
     """
     n = len(e)
     if choice.kind == "unit":
@@ -123,7 +131,14 @@ def density_rows(choice: DensityChoice, gbar, e, xdd, p, expr=None):
         root, root_grad = sqrt_abs_rows(value, grad)
         return root, root_grad, np.abs(value) <= DENOM_FLOOR
     value, grad = expr
-    return value, np.ldexp(grad, -p[:, None]), np.abs(value) <= DENOM_FLOOR
+    if not choice.normalised:
+        grad = np.ldexp(grad, -p[:, None])
+    return value, grad, np.abs(value) <= DENOM_FLOOR
+
+
+def normalised_at(emb: EmbeddingEval) -> tuple[float, float]:
+    """2^p (u, v): the parameters of a normalised point (EmbeddingEval.normalised)."""
+    return math.ldexp(emb.at[0], emb.p), math.ldexp(emb.at[1], emb.p)
 
 
 # --- Brackets -----------------------------------------------------------
@@ -210,10 +225,19 @@ def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray
 
 def nested_bracket_rows(e, Pgrad, rv):
     """nested_bracket_tensor of N points: (N, m, m, m)."""
-    return (
-        e[:, 0, :, None, None] * Pgrad[:, None, :, :, 1]
-        - e[:, 1, :, None, None] * Pgrad[:, None, :, :, 0]
-    ) / rv[:, None, None, None]
+    return bracket_with_rows(e, Pgrad, rv)
+
+
+def bracket_with_rows(e, grad, rv):
+    """{x^i, F} for N points: (e_u^i d_v F - e_v^i d_u F) / rho, batch axis first.
+
+    grad (N, ..., 2) is the parameter gradient of F, of any shape, and rv
+    (N,) the density; the result is (N, m, ...), i first.
+    """
+    axes = (slice(None), slice(None)) + (None,) * (grad.ndim - 2)
+    return (e[:, 0][axes] * grad[:, None, ..., 1] - e[:, 1][axes] * grad[:, None, ..., 0]) / rv[
+        axes[:1] + (None,) * (grad.ndim - 1)
+    ]
 
 
 def _nested(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
@@ -249,8 +273,13 @@ def weingarten_frame(
     tangential part of d_a N_A is -h_{A,ab} g^{bc} e_c; h is
     second_fundamental(emb, frame).
     """
-    grads = -np.einsum("Aab,bc,ci->Aia", h, met.ginv, emb.e)
+    grads = weingarten_rows(h[None], met.ginv[None], emb.e[None])[0]
     return FrameField(frame.vectors, grads, frame.sigma)
+
+
+def weingarten_rows(h, ginv, e):
+    """weingarten_frame's derivatives of N points: -h_{A,ab} g^{bc} e_c, as (N, p, m, 2)."""
+    return -(h @ ginv[:, None] @ e[:, None]).transpose(0, 1, 3, 2)
 
 
 def _transported(center: NormalFrame, target: NormalFrame, gbar: np.ndarray, at) -> np.ndarray:
@@ -313,31 +342,39 @@ def frame_with_derivatives(build, at: tuple[float, float], sig: AmbientSignature
 
 def s_operator(table: BracketTable, emb: EmbeddingEval, frame: FrameField) -> np.ndarray:
     """S[A, i, j] = {x^i, N_A^j} for every frame vector."""
-    rv = table.rho.value
-    e = emb.e
-    return (
-        e[0][:, None] * frame.grads[:, None, :, 1] - e[1][:, None] * frame.grads[:, None, :, 0]
-    ) / rv
+    return s_rows(emb.e[None], frame.grads[None], np.array([table.rho.value]))[0]
+
+
+def s_rows(e, grads, rv):
+    """s_operator of N points from their frame derivatives (N, p, m, 2): (N, p, m, m)."""
+    return bracket_with_rows(e, grads, rv).transpose(0, 2, 1, 3)
 
 
 # --- Trace identities ---------------------------------------------------
 
+def trace_rows(gbar, X, Y):
+    """tr(X gbar Y gbar) = gbar_i gbar_j X[..., i, j] Y[..., j, i], over the last two axes.
+
+    X and Y broadcast against each other; each trace sums its own m^2
+    products alone.
+    """
+    terms = gbar[:, None] * gbar * X * np.swapaxes(Y, -1, -2)
+    return np.add.reduce(terms.reshape(*terms.shape[:-2], -1), axis=-1)
+
+
 def p2_trace(table: BracketTable, sig: AmbientSignature) -> float:
     """Trace of the squared coordinate-bracket operator; equals -2g/rho^2."""
-    gb = sig.gbar
-    return float(np.einsum("i,j,ij,ji->", gb, gb, table.P, table.P))
+    return float(trace_rows(sig.gbar, table.P, table.P))
 
 
 def s2_traces(sig: AmbientSignature, S: np.ndarray) -> np.ndarray:
     """Traces of the squared mixed-bracket operators, one per normal."""
-    gb = sig.gbar
-    return np.einsum("i,j,Aij,Aji->A", gb, gb, S, S)
+    return trace_rows(sig.gbar, S, S)
 
 
 def ps_traces(table: BracketTable, sig: AmbientSignature, S: np.ndarray) -> np.ndarray:
     """Traces of (coordinate bracket) o (mixed bracket), one per normal."""
-    gb = sig.gbar
-    return np.einsum("i,j,ij,Aji->A", gb, gb, table.P, S)
+    return trace_rows(sig.gbar, table.P, S)
 
 
 # --- Curvature through an explicit frame ---------------------------------
@@ -350,8 +387,13 @@ def gauss_via_frame(
 ) -> float:
     """Gauss curvature from brackets of coordinates against a frame, at emb's scale."""
     traces = s2_traces(emb.sig, s_operator(table, emb, frame))
-    rv = table.rho.value
-    return float(-(rv * rv) / (2.0 * met.det_g) * np.sum(frame.sigma * traces))
+    rv, det_g = np.array([table.rho.value]), np.array([met.det_g])
+    return float(frame_gauss_rows(rv, det_g, frame.sigma[None], traces[None])[0])
+
+
+def frame_gauss_rows(rv, det_g, sigma, s2):
+    """gauss_via_frame of N points from their s2_traces (N, p)."""
+    return -(rv * rv) / (2.0 * det_g) * np.add.reduce(sigma * s2, axis=1)
 
 
 def mean_via_frame(
@@ -421,47 +463,72 @@ def build_z(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> ZDat
     Zmat is an orthogonal projector of rank codim onto the normal space.
     """
     sig = emb.sig
-    indices, weights, z_at, p_at, coef = _z_rows(sig)
-    ZL = np.zeros((len(indices), sig.m))
-    ZL.flat[z_at] = table.rho.value / math.sqrt(abs(met.det_g)) * (coef * table.P.flat[p_at])
-    ZU = ZL * weights[:, None]
+    indices = _z_rows(sig)[0]
     delta = sig.nu - met.ind_g
     delta_sign = (-1) ** delta
-    Zmat = delta_sign * np.einsum("Ii,i,Ji->IJ", ZU, sig.gbar, ZL)
-    return ZData(list(indices), weights, ZL, ZU, Zmat, delta, delta_sign)
+    rv, det_g = np.array([table.rho.value]), np.array([met.det_g])
+    ZL, ZU, Zmat, weights = z_rows(sig, table.P[None], rv, det_g, np.array([delta_sign]))
+    return ZData(list(indices), weights, ZL[0], ZU[0], Zmat[0], delta, delta_sign)
+
+
+def z_rows(sig: AmbientSignature, P, rv, det_g, delta_sign):
+    """build_z of N points: Z_lower, Z_upper (N, n, m), Zmat (N, n, n) and weights (n,).
+
+    n = C(m, 3), weights are the metric signs of the multi-indices, and
+    delta_sign (N,) is (-1)^delta, delta = nu - ind g.
+    """
+    _, weights, z_at, p_at, coef = _z_rows(sig)
+    n = len(P)
+    ZL = np.zeros((n, len(weights) * sig.m))
+    ZL[:, z_at] = (rv / np.sqrt(np.abs(det_g)))[:, None] * (coef * P.reshape(n, -1)[:, p_at])
+    ZL = ZL.reshape(n, len(weights), sig.m)
+    ZU = ZL * weights[:, None]
+    Zmat = delta_sign[:, None, None] * np.einsum("nIi,i,nJi->nIJ", ZU, sig.gbar, ZL)
+    return ZL, ZU, Zmat, weights
 
 
 def zmap_invariants(
     zd: ZData, table: BracketTable, emb: EmbeddingEval, met: InducedMetric
 ) -> dict[str, float]:
-    """Normalized residuals of the projector identities.
+    """Normalized residuals of the projector identities; see zmap_rows."""
+    res = zmap_rows(
+        emb.sig,
+        (zd.Z_lower[None], zd.Z_upper[None], zd.Zmat[None], zd.weights),
+        np.array([zd.delta_sign]),
+        table.P[None],
+        np.array([table.rho.value]),
+        np.array([met.det_g]),
+    )
+    return {key: float(x[0]) for key, x in res.items()}
 
-    Keys: z_idempotent (Zmat^2 = Zmat), z_trace (trace = codim),
+
+def zmap_rows(sig: AmbientSignature, z, delta_sign, P, rv, det_g) -> dict[str, np.ndarray]:
+    """The projector identities of N points, one residual (N,) per key.
+
+    z is (Z_lower, Z_upper, Zmat, weights) of z_rows.  Keys:
+    z_idempotent (Zmat^2 = Zmat), z_trace (trace = codim),
     z_self_adjoint (symmetry under the multi-index metric), z_sum
     (completeness: the squared bracket matrix recovers the normal block
     of the inverse ambient metric).  Each residual is divided by
     max(1, magnitude of the terms involved).
     """
-    sig = emb.sig
-    p = sig.codim
-    gb = sig.gbar
-    Zmat = zd.Zmat
-    zscale = max(1.0, float(np.abs(Zmat).max()))
-    idem = float(np.abs(Zmat @ Zmat - Zmat).max()) / zscale
-    trace = abs(float(np.trace(Zmat)) - p) / max(1.0, float(p))
-    gz = zd.weights[:, None] * Zmat
-    selfadj = float(np.abs(gz - gz.T).max()) / zscale
-    lhs = zd.Z_lower.T @ zd.Z_upper
-    rv = table.rho.value
-    p2 = table.P @ np.diag(gb) @ table.P
-    rhs = zd.delta_sign * (np.diag(gb) + (rv * rv / met.det_g) * p2)
-    zsum = float(np.abs(lhs - rhs).max()) / max(1.0, float(np.abs(rhs).max()))
+    ZL, ZU, Zmat, weights = z
+    gb, p = sig.gbar, sig.codim
+    zscale = np.maximum(1.0, _abs_max(Zmat))
+    gz = weights[:, None] * Zmat
+    p2 = (rv * rv / det_g)[:, None, None] * ((P * gb) @ P)
+    rhs = delta_sign[:, None, None] * (np.diag(gb) + p2)
     return {
-        "z_idempotent": idem,
-        "z_trace": trace,
-        "z_self_adjoint": selfadj,
-        "z_sum": zsum,
+        "z_idempotent": _abs_max(Zmat @ Zmat - Zmat) / zscale,
+        "z_trace": np.abs(np.trace(Zmat, axis1=1, axis2=2) - p) / max(1.0, float(p)),
+        "z_self_adjoint": _abs_max(gz - gz.transpose(0, 2, 1)) / zscale,
+        "z_sum": _abs_max(ZL.transpose(0, 2, 1) @ ZU - rhs) / np.maximum(1.0, _abs_max(rhs)),
     }
+
+
+def _abs_max(x: np.ndarray) -> np.ndarray:
+    """max |x| over the last two axes; NaN if any entry is NaN."""
+    return np.abs(x).max(axis=(-2, -1))
 
 
 def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
@@ -471,13 +538,12 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     it, so greedy Gram-Schmidt under gbar on those C(m, 3) length-m rows
     yields the frame and its signs directly; Zmat is not used.  Raises
     RankDeficiencyError when the rows do not span exactly codim
-    directions at tolerance 1e-8.
+    directions at tolerance 1e-8 (see z_frame_rows).
     """
     p = sig.codim
+    *rows, defect = z_frame_rows(sig, zd.Z_lower[None])
     try:
-        normals, sigma = pivoted_orthonormalize(
-            zd.Z_lower, sig.gbar, sig.m, null_tol=1e-8
-        )
+        normals, sigma = _first_row(*rows)
     except _NullPivot as exc:
         raise RankDeficiencyError(
             f"projector image contains only null directions after {exc.args[0]} vectors"
@@ -486,13 +552,25 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
         raise RankDeficiencyError(
             f"projector image has rank {normals.shape[0]}, expected {p}"
         )
-    gram = np.einsum("Ai,i,Bi->AB", normals, sig.gbar, normals)
-    residual = float(np.abs(gram - np.diag(sigma)).max())
-    if residual > 1e-8:
+    if defect[0] > 1e-8:
         raise RankDeficiencyError(
-            f"extracted frame fails orthonormality by {residual!r}"
+            f"extracted frame fails orthonormality by {float(defect[0])!r}"
         )
     return NormalFrame(normals, sigma)
+
+
+def z_frame_rows(sig: AmbientSignature, ZL):
+    """normal_frame_from_z for N points: orthonormal_rows of their Z rows (N, n, m).
+
+    Also returns each row's orthonormality defect, max |gbar(N_A, N_B) -
+    sigma_A delta_AB| over its first codim vectors.
+    """
+    p = sig.codim
+    vectors, signs, count, null, non_finite = orthonormal_rows(ZL, sig.gbar, sig.m, null_tol=1e-8)
+    frame = vectors[:, :p]
+    gram = (frame * sig.gbar) @ frame.transpose(0, 2, 1)
+    defect = _abs_max(gram - signs[:, :p, None] * np.eye(p))
+    return vectors, signs, count, null, non_finite, defect
 
 
 # --- Frame-free curvature ------------------------------------------------
@@ -643,27 +721,48 @@ def double_trace_check(
     Scaling two normal fields by scalar functions f and h multiplies the
     double trace of the mixed bracket operators by f h pointwise; the
     derivative terms cancel.  f and h are functions of emb's parameters,
-    2^p (u, v) on a normalised point.  Returns the normalized residual.
+    2^p (u, v) on a normalised point.  Returns the normalized residual;
+    see double_trace_rows.
     """
-    sig = emb.sig
-    gb = sig.gbar
-    rv = table.rho.value
-    e = emb.e
-    at = (math.ldexp(emb.at[0], emb.p), math.ldexp(emb.at[1], emb.p))
+    at = normalised_at(emb)
     (f,) = eval_jet(f_ast.tape, at)
     (h,) = eval_jet(h_ast.tape, at)
-
-    def scaled_bracket(scalar: Jet2, idx: int) -> np.ndarray:
-        nvec = frame.vectors[idx]
-        ngrad = frame.grads[idx]
-        d = np.array(
-            [scalar.grad[a] * nvec + scalar.value * ngrad[:, a] for a in (0, 1)]
-        )  # (2, m)
-        return (e[0][:, None] * d[1] - e[1][:, None] * d[0]) / rv
-
-    bf = scaled_bracket(f, A)
-    bh = scaled_bracket(h, B)
-    lhs = float(np.einsum("i,j,ij,ji->", gb, gb, bf, bh))
     S = s_operator(table, emb, frame)
-    rhs = f.value * h.value * float(np.einsum("i,j,ij,ji->", gb, gb, S[A], S[B]))
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+    res = double_trace_rows(
+        emb.sig,
+        emb.e[None],
+        np.array([table.rho.value]),
+        (frame.vectors[None], frame.grads[None], S[None]),
+        (A, B),
+        (np.array([f.value]), f.grad[None]),
+        (np.array([h.value]), h.grad[None]),
+    )
+    return float(res[0])
+
+
+def double_trace_rows(sig: AmbientSignature, e, rv, frame, pair, f, h):
+    """double_trace_check of N points.
+
+    frame is the normals (N, p, m), their derivatives (N, p, m, 2) and S
+    (N, p, m, m); pair the normals (A, B) scaled by f and h, each a value
+    (N,) and gradient (N, 2) in the normalised parameters.
+    """
+    vectors, grads, S = frame
+    A, B = pair
+
+    def scaled_bracket(jet, idx: int) -> np.ndarray:
+        value, grad = jet
+        d = grad[:, None, :] * vectors[:, idx, :, None] + value[:, None, None] * grads[:, idx]
+        return bracket_with_rows(e, d, rv)  # {x^i, s N^j}, d (N, m, 2) its gradient
+
+    lhs = trace_rows(sig.gbar, scaled_bracket(f, A), scaled_bracket(h, B))
+    rhs = f[0] * h[0] * trace_rows(sig.gbar, S[:, A], S[:, B])
+    return relative(lhs - rhs, lhs, rhs)
+
+
+def relative(diff, *scales):
+    """|diff| / max(1, |scales|...), for rows or one point; NaN in, NaN out."""
+    bound = 1.0
+    for scale in scales:
+        bound = np.maximum(bound, np.abs(scale))
+    return np.abs(diff) / bound

@@ -16,6 +16,7 @@ from pbcurv.classical import (
     evaluate_embedding,
     induced_metric,
     normal_projector,
+    orthonormal_rows,
     pivoted_orthonormalize,
     second_fundamental,
 )
@@ -294,24 +295,13 @@ def _assert_same_vectors(got: np.ndarray, want: np.ndarray) -> None:
     assert float(np.abs(got - want).max(initial=0.0)) <= 1e-13 * scale
 
 
-@settings(max_examples=300)
-@given(
-    shape=st.tuples(st.integers(1, 12), st.integers(2, 8)),
-    rank=st.integers(1, 8),
-    max_count=st.integers(1, 8),
-    with_null=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_pivoted_orthonormalize_matches_looped_oracle(shape, rank, max_count, with_null, seed):
-    n, dim = shape
-    rank = min(rank, dim)
+def _draw_candidates(n, dim, rank, with_null, seed, inner_diag):
+    """n candidates in R^dim spanning rank directions, as the oracle test draws them."""
     rng = np.random.default_rng(seed)
-    inner_diag = rng.choice([-1.0, 1.0], dim)
     basis = rng.normal(size=(rank, dim))
     if with_null:
         # e_0 + e_1 is null and gbar-orthogonal to e_2, e_3, ...: once the
         # other directions are accepted only a null residual remains
-        inner_diag[:2] = (1.0, -1.0)
         rank = min(rank, dim - 1)
         basis = np.eye(dim)[np.r_[0, 2 + rng.permutation(dim - 2)[: rank - 1]]]
         basis[0, 1] = 1.0
@@ -319,13 +309,51 @@ def test_pivoted_orthonormalize_matches_looped_oracle(shape, rank, max_count, wi
     candidates = rng.normal(size=(n, rank)) @ basis
     candidates *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
     candidates[rng.integers(n)] *= float(rng.integers(2))
-    got = _pivot_or_raise(pivoted_orthonormalize, candidates, inner_diag, max_count)
-    want = _pivot_or_raise(looped_orthonormalize, candidates, inner_diag, max_count)
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-        return
-    assert got[1].tolist() == want[1].tolist()
-    _assert_same_vectors(got[0], want[0])
+    return candidates
+
+
+@settings(max_examples=300)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(2, 8)),
+    rank=st.integers(1, 8),
+    max_count=st.integers(1, 8),
+    with_null=st.booleans(),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    poisoned=st.booleans(),
+)
+def test_pivoted_orthonormalize_matches_looped_oracle(
+    shape, rank, max_count, with_null, seeds, poisoned
+):
+    # a batch of draws that share the inner product: each row equals its own
+    # batch-of-one call bit for bit, and the looped oracle to 1e-13 with the
+    # same pivot order and signs; a failing row fails the same way
+    n, dim = shape
+    rank = min(rank, dim)
+    inner_diag = np.random.default_rng(seeds[0]).choice([-1.0, 1.0], dim)
+    if with_null:
+        inner_diag[:2] = (1.0, -1.0)
+    batch = np.stack([_draw_candidates(n, dim, rank, with_null, s, inner_diag) for s in seeds])
+    if poisoned:
+        batch[-1, -1, -1] = math.nan
+    vectors, signs, count, null, non_finite = orthonormal_rows(
+        batch, inner_diag, max_count, null_tol=1e-10
+    )
+    assert non_finite.tolist() == [poisoned and row == len(seeds) - 1 for row in range(len(seeds))]
+    for row, candidates in enumerate(batch):
+        if non_finite[row]:
+            with pytest.raises(FrameConstructionError, match="non-finite"):
+                pivoted_orthonormalize(candidates, inner_diag, max_count, null_tol=1e-10)
+            continue
+        k = int(count[row])
+        got = f"null pivot after {k} vectors" if null[row] else (vectors[row, :k], signs[row, :k])
+        alone = _pivot_or_raise(pivoted_orthonormalize, candidates, inner_diag, max_count)
+        want = _pivot_or_raise(looped_orthonormalize, candidates, inner_diag, max_count)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == alone == want
+            continue
+        assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
+        assert got[1].tolist() == want[1].tolist()
+        _assert_same_vectors(got[0], want[0])
 
 
 def _assert_frame_matches_looped(emb, met) -> None:

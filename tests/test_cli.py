@@ -217,36 +217,54 @@ def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
     monkeypatch.setattr(cli, "CHUNK_FLOATS", 7 * 3**3)  # chunks of 7 points
     assert run_cli(["curvature", "torus", "--grid", "10x10"], capsys)[0] == 0
     assert [len(args[0]) for args in chunks[1:]] == [7] * 9 + [1]
-    assert run_cli(["curvature", "torus", "--grid", "3x3", "--compare"], capsys)[0] == 0
-    # --compare builds the run's table and one for another density, per point
-    assert (len(chunks), len(tables), len(tensors)) == (11, 2, 2)
+    del chunks[:]
+    assert run_cli(["curvature", "torus", "--grid", "10x10", "--compare"], capsys)[0] == 0
+    # --compare builds T for the run's density and for another one, once per
+    # chunk of points, and no per-point table
+    assert [len(args[0]) for args in chunks] == [7, 7] * 9 + [1, 1]
+    assert (len(tables), len(tensors)) == (0, 0)
 
 
 @pytest.mark.parametrize(
     ("rho", "expected"),
-    [([], 3), (["--rho", "unit"], 3), (["--rho", "expr:2 + sin(v)"], 4)],
-    ids=["default", "unit", "expr"],
+    [
+        ([], 3),
+        (["--rho", "unit"], 3),
+        (["--rho", "expr:2 + sin(v)"], 4),
+        (["--rho", "expr:1 + 0.3*sin(u)"], 4),
+    ],
+    ids=["default", "unit", "expr", "expr-as-check-density"],
 )
 def test_invariants_reuses_the_run_table(rho, expected, capsys, monkeypatch):
-    tables = _count_calls(monkeypatch, cli, "build_bracket_table")
-    tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
-    assert run_cli(["invariants", "torus", "--grid", "3x3", *rho], capsys)[0] == 0
-    # a run density among unit, sqrt_abs_g and expr:1 + 0.3*sin(u) serves the
-    # density loop too; any other density adds a table of its own, which only
-    # the identities read, so T is built for the three densities alone
-    assert (len(tables), len(tensors)) == (expected, 3)
+    tables = _count_calls(monkeypatch, cli, "bracket_rows")
+    tensors = _count_calls(monkeypatch, cli, "nested_bracket_rows")
+    points = _count_calls(monkeypatch, cli, "build_bracket_table")
+    monkeypatch.setattr(cli, "CHUNK_FLOATS", 5 * 3**3)  # chunks of 5 points
+    assert run_cli(["invariants", "torus", "--grid", "6x6", *rho], capsys)[0] == 0
+    # per chunk, the run density unit or sqrt_abs_g serves the density loop
+    # too; any other density adds a table of its own, which only the
+    # identities read, so T is built for the three densities alone.  The
+    # check density 1 + 0.3 sin(u) reads the normalised parameters, so a run
+    # density of the same text is not it
+    assert (len(tables), len(tensors), len(points)) == (4 * expected, 4 * 3, 0)
+    assert [len(args[0]) for args in tensors] == [5] * 9 + [1] * 3
 
 
 @pytest.mark.parametrize(
     "args", [["invariants", "torus"], ["curvature", "torus", "--compare"]]
 )
 def test_centre_point_evaluated_once(args, capsys, monkeypatch):
-    evaluations = _count_calls(monkeypatch, cli, "evaluate_embedding")
-    residuals = _count_calls(monkeypatch, cli, "_identity_residuals")
+    evaluations = _count_calls(monkeypatch, cli, "eval_tape")
+    residuals = _count_calls(monkeypatch, cli, "_identity_rows")
+    points = _count_calls(monkeypatch, cli, "_record")
     assert run_cli(args + ["--grid", "3x3"], capsys)[0] == 0
     # one interior point: the frame derivatives come from its own jets, and
-    # both commands compute its identity residuals once
-    assert (len(evaluations), len(residuals)) == (1, 1)
+    # both commands compute its identity residuals once, in one batch; the
+    # coordinates' tape is walked once (invariants also walks the tape of its
+    # check density and double-trace functions once)
+    assert [len(u) for _, u, _ in evaluations] == [1] * (2 if args[0] == "invariants" else 1)
+    assert evaluations[0][0] is CATALOG["torus"].coord_asts.tape
+    assert (len(residuals), len(points)) == (1, 0)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -330,27 +348,70 @@ SYNTH7 = (
 
 
 @pytest.mark.parametrize("config", [BULK_TORUS, SYNTH7], ids=["bulk-torus", "synth7"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_plain_rows_do_not_depend_on_the_chunk_size(config, fmt, tmp_path, capsys, monkeypatch):
-    # one chunk, chunks of 7 points, and every point a batch of its own
+@pytest.mark.parametrize(
+    ("fmt", "level"),
+    [("csv", "plain"), ("json", "plain"), ("csv", "compare"), ("json", "compare"), (None, "invariants")],
+    ids=["csv", "json", "compare-csv", "compare-json", "invariants"],
+)
+def test_plain_rows_do_not_depend_on_the_chunk_size(config, fmt, level, tmp_path, capsys, monkeypatch):
+    # one chunk, chunks of 7 points, and every point a batch of its own, at
+    # each level: the frames, the Z projector and every residual of a row
+    # are computed from that row alone
     cfg = tmp_path / "surface.conf"
     cfg.write_text(config)
     m = load_spec(str(cfg)).m
+    largest = m**3 if level == "plain" else max(m**3, math.comb(m, 3) ** 2)
+    command = ["invariants"] if level == "invariants" else ["curvature", "--format", fmt]
+    command += ["--compare"] * (level == "compare")
     outputs = []
-    for floats in (cli.CHUNK_FLOATS, 7 * m**3, 1):
+    for floats in (cli.CHUNK_FLOATS, 7 * largest, 1):
         monkeypatch.setattr(cli, "CHUNK_FLOATS", floats)
-        code, out, _ = run_cli(["curvature", str(cfg), "--format", fmt], capsys)
+        code, out, _ = run_cli([command[0], str(cfg), *command[1:]], capsys)
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-@pytest.mark.parametrize("rho", ["sqrtg", "unit", "expr:1 + 0.3*sin(u)"])
-def test_plain_rows_match_the_library_point_calls(rho, capsys):
+def test_an_m8_compare_chunk_bounds_its_z_projector(capsys, monkeypatch, tmp_path):
+    # Zmat has C(8, 3)^2 = 3136 floats per point, more than the m^3 = 512 of T
+    cfg = tmp_path / "m8.surface"
+    cfg.write_text(f"m = 8\nnu = 1\ncoords = {json.dumps(M8_COORDS)}\ndomain = [0.4, 2.6, 0.2, 6.0]\n")
+    sizes = []
+    real = cli.z_rows
+
+    def recorded(*args):
+        out = real(*args)
+        sizes.append(out[2].size)
+        return out
+
+    monkeypatch.setattr(cli, "z_rows", recorded)
+    for floats in (cli.CHUNK_FLOATS, 3 * 3136 + 3135, 3136):
+        monkeypatch.setattr(cli, "CHUNK_FLOATS", floats)
+        del sizes[:]
+        assert run_cli(["curvature", str(cfg), "--grid", "6x6", "--compare"], capsys)[0] == 0
+        assert sum(sizes) == 16 * 3136 and max(sizes) <= floats
+    assert sizes == [3136] * 16
+
+
+_CHECK_LEVEL_DENSITIES = [
+    (rho, level) for level in ("plain", "compare", "invariants")
+    for rho in ("sqrtg", "unit", "expr:1 + 0.3*sin(u)")
+]
+
+
+@pytest.mark.parametrize(
+    ("rho", "level"),
+    _CHECK_LEVEL_DENSITIES,
+    ids=[rho if level == "plain" else f"{level}-{rho}" for rho, level in _CHECK_LEVEL_DENSITIES],
+)
+def test_plain_rows_match_the_library_point_calls(rho, level, capsys):
     # the grid's jets come from the tape (numpy), a point's from eval_jet
     # (math): K and H agree to within 64 eps of the closed forms' rounding scale
     eps = np.finfo(float).eps
     density = poisson.DensityChoice.from_string(rho)
+    if level != "plain":
+        _assert_check_rows_match_the_point_path(density, level)
+        return
     for name, spec in CATALOG.items():
         code, out, _ = run_cli(["curvature", name, "--grid", "6x6", "--rho", rho], capsys)
         assert code == 0
@@ -362,6 +423,41 @@ def test_plain_rows_match_the_library_point_calls(rho, capsys):
             s_k, s_h = error_scales(poisson.build_bracket_table(emb, density), emb, met, k, h)
             assert abs(row["K_full"] - k) <= 64 * eps * s_k, (name, row["u"], row["v"])
             assert np.all(np.abs(h_row - h) <= 64 * eps * s_h), (name, row["u"], row["v"])
+
+
+def _assert_check_rows_match_the_point_path(density, level):
+    """Every batched row of the level agrees with cli._record at its point.
+
+    K, H and the frame and oracle values within 64 eps of the row's largest
+    K or H entry (at least 1), the residuals within 64 eps, and the signs
+    and the index of g exactly.
+    """
+    eps = np.finfo(float).eps
+    for name, spec in CATALOG.items():
+        points = grid_points(spec, (6, 6))
+        batch = cli._batch_records(spec, density, points, level)
+        for (_, _, u, v), row in zip(points, batch):
+            assert row is not None, (name, u, v)
+            point = cli._record(spec, density, (u, v), level)
+            assert row.keys() == point.keys()
+            scale = max([1.0] + [abs(x) for key, x in row.items() if key[0] in "KH"])
+            for key, x in row.items():
+                y = point[key]
+                if key in ("u", "v", "status", "ind_g", "sigma", "sigma_multiset"):
+                    assert x == y, (name, key)
+                else:
+                    bound = 64 * eps * (scale if key[0] in "KH" else 1.0)
+                    assert abs(x - y) <= bound, (name, u, v, key, x, y)
+
+
+@pytest.mark.parametrize("command", [["curvature", "--compare"], ["invariants"]], ids=["compare", "invariants"])
+def test_clean_catalog_runs_recompute_no_row(command, capsys, monkeypatch):
+    # every catalog point passes the batch's checks, so none is recomputed point by point
+    points = _count_calls(monkeypatch, cli, "_record")
+    for name in sorted(CATALOG):
+        code, _, err = run_cli([command[0], name, "--grid", "8x8", *command[1:]], capsys)
+        assert (code, err) == (0, ""), name
+    assert points == []
 
 
 @pytest.mark.parametrize(
@@ -548,9 +644,9 @@ def test_compare_gate_catches_a_wrong_k_at_any_scale(radius, plant, tmp_path, ca
     cfg.write_text(natural_sphere(radius))
     argv = ["curvature", str(cfg), "--grid", "3x3", "--compare"]
     assert run_cli(argv, capsys)[0] == 0
-    gauss = cli.gauss_full_from_table
-    wrong = {"off-by-1e-6": lambda k: k * (1.0 + 1e-6), "zero": lambda k: 0.0}[plant]
-    monkeypatch.setattr(cli, "gauss_full_from_table", lambda *a: wrong(gauss(*a)))
+    gauss = cli.gauss_rows
+    wrong = {"off-by-1e-6": lambda k: k * (1.0 + 1e-6), "zero": lambda k: k * 0.0}[plant]
+    monkeypatch.setattr(cli, "gauss_rows", lambda *a: (wrong(gauss(*a)[0]), *gauss(*a)[1:]))
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("comparison failure at (u, v)")
@@ -570,19 +666,25 @@ def test_compare_gate_catches_density_roundoff_on_a_large_sphere(tmp_path, capsy
 
 
 def test_invariants_on_large_parameters(tmp_path, capsys):
-    # exp(u) of the double-trace pairs overflowed at u ~ 1e10; f and h now
-    # take the normalised parameters.  The rho_independence row fails,
-    # truthfully: its check density 1 + 0.3 sin(u) varies 1e10 times faster
-    # than the surface, as in the test above
+    # exp(u) of the double-trace pairs overflowed at u ~ 1e10, and the check
+    # density 1 + 0.3 sin(u) varied 1e10 times faster than the surface, as in
+    # the test above, so rho_independence failed; f, h and the check
+    # densities now take the normalised parameters
     cfg = tmp_path / "arc.surface"
     cfg.write_text(arc_sphere("1e10"))
-    code, out, err = run_cli(["invariants", str(cfg), "--grid", "3x3"], capsys)
-    assert code == 1
-    assert err == ""
-    rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
-    assert float(rows["double_trace"][1]) <= 1e-14 and rows["double_trace"][-1] == "PASS"
-    assert rows["rho_independence"][-1] == "FAIL"
-    assert all(rows[key][-1] == "PASS" for key in rows if key != "rho_independence")
+    for grid in ("3x3", "6x6"):
+        code, out, err = run_cli(["invariants", str(cfg), "--grid", grid], capsys)
+        assert (code, err) == (0, ""), grid
+        rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+        assert float(rows["double_trace"][1]) <= 1e-14
+        assert float(rows["rho_independence"][1]) <= 1e-12
+        assert len(rows) == len(cli._IDENTITY_TOLERANCES)
+        assert all(row[-1] == "PASS" for row in rows.values()), grid
+    # the per-point path of a recomputed row agrees
+    spec = load_spec(str(cfg))
+    (_, _, u, v), = grid_points(spec, (3, 3))
+    record = cli._record(spec, spec.density(), (u, v), "invariants")
+    assert record["rho_independence"] <= 1e-12 and record["double_trace"] <= 1e-14
 
 
 @pytest.mark.parametrize("rho", ["1", "1e150"])
@@ -685,19 +787,21 @@ def test_non_finite_tolerance_is_usage_error(command, value, capsys):
 
 
 def test_compare_fails_closed_on_nan_curvature(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "gauss_full_from_table", lambda *args: math.nan)
+    gauss = cli.gauss_rows
+    monkeypatch.setattr(cli, "gauss_rows", lambda *a: (gauss(*a)[0] * math.nan, *gauss(*a)[1:]))
     code, _, err = run_cli(["curvature", "sphere", "--grid", "3x3", "--compare"], capsys)
     assert code == 1
     assert "comparison failure" in err
 
 
 def test_compare_fails_closed_on_nan_residual(capsys, monkeypatch):
-    real = cli.zmap_invariants
+    real = cli.zmap_rows
 
     def nan_trace(*args):
-        return {**real(*args), "z_trace": math.nan}
+        res = real(*args)
+        return {**res, "z_trace": res["z_trace"] * math.nan}
 
-    monkeypatch.setattr(cli, "zmap_invariants", nan_trace)
+    monkeypatch.setattr(cli, "zmap_rows", nan_trace)
     code, out, err = run_cli(["curvature", "torus", "--grid", "3x3", "--compare"], capsys)
     assert code == 1
     assert "comparison failure" in err
@@ -725,15 +829,15 @@ def test_invariants_negative_tolerance_is_usage_error(capsys):
 
 
 def test_invariants_fail_closed_on_nan_residual(capsys, monkeypatch):
-    real = cli.mean_full_from_table
+    real = cli.mean_rows
     calls = []
 
-    def nan_on_second_call(table, emb, met):
+    def nan_on_second_call(*args):
         calls.append(None)
-        out = real(table, emb, met)
-        return out * math.nan if len(calls) == 2 else out
+        h, *fails = real(*args)
+        return (h * math.nan if len(calls) == 2 else h, *fails)
 
-    monkeypatch.setattr(cli, "mean_full_from_table", nan_on_second_call)
+    monkeypatch.setattr(cli, "mean_rows", nan_on_second_call)
     code, out, _ = run_cli(["invariants", "sphere", "--grid", "3x3"], capsys)
     assert code == 1
     row = next(line for line in out.splitlines() if line.startswith("rho_independence"))
@@ -939,14 +1043,16 @@ def test_equal_coordinates_report_their_own_offsets(tmp_path, capsys):
 
 def test_each_parsed_root_compiles_once(tmp_path, capsys, monkeypatch):
     compiled = _count_calls(monkeypatch, exprlang, "compile_tape")
+    batched = _count_calls(monkeypatch, cli, "eval_tape")
     evaluated = _count_calls(monkeypatch, classical, "eval_jet")
     cfg = _graph_config(tmp_path, "sin(u)*cos(v)")
     code, _, err = run_cli(["curvature", cfg, "--grid", "6x6", "--compare"], capsys)
     assert (code, err) == (0, "")
-    # one compile of the 3 coordinates, then one walk of their tape per point
+    # one compile of the 3 coordinates, then one walk of their tape for the
+    # chunk of 16 points, and none point by point
     assert [len(exprs) for (exprs,) in compiled] == [3]
-    assert len(evaluated) == 16
-    assert len({id(tape) for tape, _ in evaluated}) == 1
+    assert [len(u) for _, u, _ in batched] == [16]
+    assert len(evaluated) == 0
 
 
 _IMPORT_COMPILES = """
@@ -1131,6 +1237,17 @@ def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, rho, tmp_pat
         if code == 2:
             (line,) = err.getvalue().splitlines()
             assert line.startswith("error: "), (args, line)
+        # exit 1 comes only from a gate: the --compare comparison, or an invariants row
+        if code == 1:
+            assert args[0] == "invariants" or "--compare" in args, args
+        if "--compare" in args and code == 1:
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("comparison failure"), (args, line)
+        if args[0] == "invariants" and code in (0, 1):
+            rows = [line.split() for line in out.getvalue().splitlines()[3:]]
+            assert len(rows) == len(cli._IDENTITY_TOLERANCES)
+            assert all(row[-1] == "FAIL" for row in rows if math.isnan(float(row[1]))), rows
+            assert any(row[-1] == "FAIL" for row in rows) == (code == 1), rows
         if args[0] == "curvature" and code in (0, 1):
             _, rows = parse_csv(out.getvalue())
             for row in rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -142,18 +142,12 @@ def evaluate_embedding(
 
 @dataclass(eq=False)
 class InducedMetric:
-    """First fundamental form at one point; its inverse and index are computed on first use."""
+    """First fundamental form at one point."""
 
     gab: np.ndarray  # (2, 2)
     det_g: float
-
-    @cached_property
-    def ginv(self) -> np.ndarray:
-        return inverse_rows(self.gab[None], np.array([self.det_g]))[0]  # (2, 2)
-
-    @cached_property
-    def ind_g(self) -> int:
-        return int(index_rows(self.gab[None], np.array([self.det_g]))[0])
+    ind_g: int
+    ginv: np.ndarray  # (2, 2)
 
 
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
@@ -163,7 +157,7 @@ def induced_metric(emb: EmbeddingEval) -> InducedMetric:
         raise DegenerateMetricError(f"induced metric is not finite: det g = {det_g!r}")
     if singular[0]:
         raise DegenerateMetricError(f"induced metric is singular: det g = {det_g!r}")
-    return InducedMetric(gab[0], det_g)
+    return InducedMetric(gab[0], det_g, int(index_rows(gab, det)[0]), inverse_rows(gab, det)[0])
 
 
 def _gram_rows(gbar: np.ndarray, e: np.ndarray):
@@ -227,12 +221,16 @@ class _NullPivot(Exception):
     pass
 
 
+# |<w, w>| / |w|^2 at or below this makes a classical normal candidate null.
+FRAME_NULL_TOL = 1e-10
+
+
 def orthonormal_rows(
     candidates: np.ndarray,
     inner_diag: np.ndarray,
     max_count: int,
     *,
-    null_tol: float,
+    null_tol,
 ):
     """Greedy Gram-Schmidt under a diagonal +-1 inner product, for N rows of candidates.
 
@@ -248,65 +246,60 @@ def orthonormal_rows(
     projections, and normalizing one would contaminate the frame even
     though its quality still looks perfect.  Candidates whose residual
     shrinks below DROP_TOL times their original size are treated as
-    dependent and skipped.  Lengths are compared squared.
+    dependent and skipped, so zero rows pad a pool without changing it.
+    Lengths are compared squared.  null_tol is one float or one per row.
 
     Returns the accepted vectors (N, max_count, m), valid up to each
     row's count (N,), and their signs (N, max_count), 0 past the count;
     the rows that stopped because only null residuals remained while
     independent candidates still existed (count is then the number
-    accepted before); and the rows with a non-finite candidate, which
-    accept nothing.  Each row picks its own pivots, and every sum runs
-    over one residual alone (add.reduce over the last axis, as np.sum
-    sums one vector), so no row's rounding depends on the other rows of
-    its batch.
+    accepted before); and the rows with a non-finite candidate, whose
+    other outputs mean nothing.  Each row picks its own pivots, and every
+    sum runs over one residual alone (add.reduce over the last axis, as
+    np.sum sums one vector), so no row's rounding depends on the other
+    rows of its batch.
     """
     n, c, m = candidates.shape
     first = np.arange(0, n * c, c)  # each row's first candidate in the flattened pool
     vectors = np.zeros((n, max_count, m))
-    signs = np.zeros((n, max_count))
-    count = np.zeros(n, dtype=int)
+    pivots = np.zeros((n, max_count))  # <w, w> of each round's pivot
+    tops = np.empty((n, max_count))  # the best quality of each round
     non_finite = ~np.logical_and.reduce(np.isfinite(candidates.reshape(n, -1)), axis=1)
-    active = ~non_finite
-    last = np.full(n, -1.0)  # the best quality of each row's last round
+    null_tol = np.reshape(null_tol, (-1,))
     resid = candidates
-    # a row that stopped is still computed, masked, until every row has stopped
+    # a row that stopped is still computed, and ignored, until every row has stopped
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pre = np.add.reduce(candidates * candidates, axis=2)  # squared lengths, as below
+        sq = pre = np.add.reduce(candidates * candidates, axis=2)  # squared lengths
         # inf or NaN where a candidate is dropped: it is never live
         floor = DROP_TOL**2 * pre / (pre > DROP_TOL**2)
         for k in range(max_count):
-            sq = np.add.reduce(resid * resid, axis=2)
+            if k:
+                sq = np.add.reduce(resid * resid, axis=2)
             weighted = inner_diag * resid
             ips = np.add.reduce(weighted * resid, axis=2)
             live = sq > floor  # others are numerically inside the accepted span
             live &= sq >= 1e-6 * np.maximum.reduce(sq, axis=1, where=live, initial=0.0)[:, None]
-            quality = np.where(live, np.abs(ips) / sq, -1.0)
-            top = np.maximum.reduce(quality, axis=1)
-            last = np.where(active, top, last)
-            active &= top > null_tol  # below 0 no residual is live: the pool is exhausted
-            if not np.logical_or.reduce(active):
+            quality = np.abs(ips) / sq
+            quality[~live] = -1.0
+            top = tops[:, k] = np.maximum.reduce(quality, axis=1)  # below 0: nothing is live
+            if not _flagged(top > null_tol):
                 break
             best = first + (quality >= (top - 1e-9)[:, None]).argmax(axis=1)
-            ip = ips.reshape(-1)[best]
-            sign = np.copysign(active, ip)  # +-1, and 0 where the row has stopped
-            vec = resid.reshape(-1, m)[best] / np.sqrt(np.abs(ip))[:, None]
-            vectors[:, k] = vec
-            signs[:, k] = sign
-            count += active
-            proj = sign[:, None] * np.add.reduce(weighted * vec[:, None], axis=2)
-            resid = resid - proj[:, :, None] * vec[:, None]
-    null = (last >= 0.0) & (last <= null_tol)
-    return vectors, signs.astype(int), count, null, non_finite
-
-
-def _first_row(vectors, signs, count, null, non_finite):
-    """Row 0 of orthonormal_rows as (vectors, signs), or the error that ended it."""
-    if non_finite[0]:
-        raise FrameConstructionError("normal candidates are non-finite")
-    k = int(count[0])
-    if null[0]:
-        raise _NullPivot(k)
-    return vectors[0, :k], signs[0, :k]
+            ip = pivots[:, k] = ips.take(best)
+            # take, not fancy indexing: a quarter of its cost on a few rows
+            pivot = resid.reshape(-1, m).take(best, axis=0)
+            vec = vectors[:, k] = pivot / np.sqrt(np.abs(ip))[:, None]
+            if k + 1 < max_count:  # the last vector projects nothing
+                proj = np.sign(ip)[:, None] * np.add.reduce(weighted * vec[:, None], axis=2)
+                resid = resid - proj[:, :, None] * vec[:, None]
+    # a row keeps its pivots up to its first round with no quality above null_tol
+    rounds = k + 1
+    accepted = np.logical_and.accumulate(tops[:, :rounds] > null_tol[:, None], axis=1)
+    count = np.add.reduce(accepted, axis=1)
+    signs = np.zeros((n, max_count), dtype=int)
+    signs[:, :rounds] = np.copysign(accepted, pivots[:, :rounds])  # +-1, or 0 past the count
+    stopped = tops[np.arange(n), np.minimum(count, rounds - 1)]  # the stopping round's best
+    return vectors, signs, count, (count < rounds) & (stopped >= 0.0), non_finite
 
 
 def pivoted_orthonormalize(
@@ -322,19 +315,34 @@ def pivoted_orthonormalize(
     residuals remain while independent candidates still exist, and
     FrameConstructionError if a candidate is not finite.
     """
-    return _first_row(*orthonormal_rows(candidates[None], inner_diag, max_count, null_tol=null_tol))
+    vectors, signs, count, null, non_finite = orthonormal_rows(
+        candidates[None], inner_diag, max_count, null_tol=null_tol
+    )
+    if non_finite[0]:
+        raise FrameConstructionError("normal candidates are non-finite")
+    k = int(count[0])
+    if null[0]:
+        raise _NullPivot(k)
+    return vectors[0, :k], signs[0, :k]
 
 
-def normal_frame_rows(sig: AmbientSignature, e: np.ndarray, ginv: np.ndarray, basis=None):
-    """classical_normal_frame for N points: orthonormal_rows of their normal candidates.
+def normal_candidate_rows(sig: AmbientSignature, e: np.ndarray, ginv: np.ndarray, basis=None):
+    """The normal candidates of N points, (N, m, m): each seed vector less its tangential part.
 
-    Each seed vector, a row of basis (the identity by default), loses its
-    tangential part v -> v - g^{ab} gbar(v, e_a) e_b first; e is (N, 2, m)
-    and ginv (N, 2, 2).
+    The seed vectors are the rows of basis, the identity by default, and
+    v -> v - g^{ab} gbar(v, e_a) e_b removes the tangential part; e is
+    (N, 2, m) and ginv (N, 2, 2).
     """
-    basis = np.eye(sig.m) if basis is None else basis
-    candidates = basis - (basis * sig.gbar) @ e.transpose(0, 2, 1) @ ginv @ e
-    return orthonormal_rows(candidates, sig.gbar, sig.codim, null_tol=1e-10)
+    if basis is None:  # gbar(e_i, e_a) of the coordinate basis, read off e
+        return _identity(sig.m) - (e * sig.gbar).transpose(0, 2, 1) @ ginv @ e
+    return basis - (basis * sig.gbar) @ e.transpose(0, 2, 1) @ ginv @ e
+
+
+@lru_cache(maxsize=None)
+def _identity(m: int) -> np.ndarray:
+    out = np.eye(m)
+    out.setflags(write=False)
+    return out
 
 
 def classical_normal_frame(
@@ -345,17 +353,18 @@ def classical_normal_frame(
     """Normal frame from Gram-Schmidt on the ambient coordinate basis.
 
     Each seed vector is first projected off the tangent plane using the
-    inverse induced metric, then the pool is orthonormalized under gbar
-    with greedy pivoting on |gbar(w, w)| / |w|^2 (normal_frame_rows).  The
-    result satisfies gbar(N_A, N_B) = sigma_A delta_AB with sigma_A = +-1.
+    inverse induced metric (normal_candidate_rows), then the pool is
+    orthonormalized under gbar with greedy pivoting on |gbar(w, w)| / |w|^2.
+    The result satisfies gbar(N_A, N_B) = sigma_A delta_AB with sigma_A = +-1.
     """
     sig = emb.sig
     m, p = sig.m, sig.codim
     basis = None if seed_basis is None else np.asarray(seed_basis, dtype=float)
     if basis is not None and basis.shape != (m, m):
         raise ValueError(f"seed basis must be {m}x{m}, got {basis.shape}")
+    candidates = normal_candidate_rows(sig, emb.e[None], met.ginv[None], basis)[0]
     try:
-        vectors, signs = _first_row(*normal_frame_rows(sig, emb.e[None], met.ginv[None], basis))
+        vectors, signs = pivoted_orthonormalize(candidates, sig.gbar, p, null_tol=FRAME_NULL_TOL)
     except _NullPivot as exc:
         raise FrameConstructionError(
             f"only null normal candidates remain after {exc.args[0]} vectors"

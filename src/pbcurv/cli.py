@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ import sys
 import numpy as np
 
 from .classical import (
+    FRAME_NULL_TOL,
     classical_gauss,
     classical_gauss_rows,
     classical_mean,
@@ -29,29 +31,32 @@ from .classical import (
     induced_metric,
     inverse_rows,
     metric_rows,
-    normal_frame_rows,
+    normal_candidate_rows,
     normal_projector_rows,
     normalise_rows,
+    orthonormal_rows,
     second_fundamental,
     second_fundamental_rows,
     unscaled_rows,
 )
 from .errors import GeometricError, PbcurvError, UsageError
 from .poisson import (
+    Z_TOL,
     DensityChoice,
     bracket_rows,
+    bracket_with_rows,
     build_bracket_table,
     build_z,
     density_rows,
     double_trace_check,
     double_trace_rows,
+    frame_defect_rows,
     frame_gauss_rows,
     gauss_full_from_table,
     gauss_rows,
     gauss_via_frame,
     mean_full_from_table,
     mean_rows,
-    nested_bracket_rows,
     normal_frame_from_z,
     relative,
     s_operator,
@@ -59,7 +64,6 @@ from .poisson import (
     trace_rows,
     weingarten_frame,
     weingarten_rows,
-    z_frame_rows,
     z_rows,
     zmap_rows,
 )
@@ -136,14 +140,10 @@ def _vec_rel(a, b):
 
 def _kh_spread(kh):
     """Worst pairwise disagreement among (K, H) pairs that should agree."""
-    return np.max(
-        [
-            r
-            for (ka, ha), (kb, hb) in itertools.combinations(kh, 2)
-            for r in (relative(ka - kb, ka, kb), _vec_rel(ha, hb))
-        ],
-        axis=0,
-    )
+    spread = 0.0
+    for (ka, ha), (kb, hb) in itertools.combinations(kh, 2):
+        spread = np.maximum(spread, np.maximum(relative(ka - kb, ka, kb), _vec_rel(ha, hb)))
+    return spread
 
 
 def _oracle_res(k, h, k_oracle, h_oracle):
@@ -201,31 +201,10 @@ def _identity_rows(sig, P, rv, det_g, ginv, h, S, z, delta, zframe, frame) -> di
         np.abs(normal_projector_rows(*zframe) - proj_c).max(axis=(1, 2)),
         np.abs(proj_c).max(axis=(1, 2)),
     )
-    negative = [np.count_nonzero(signs == -1, axis=1) for signs, _ in (zframe, frame)]
+    negative = [np.add.reduce(signs < 0, axis=1) for signs, _ in (zframe, frame)]
     match = (negative[0] == negative[1]) & (negative[0] == delta)
     out["sigma_multiset"] = np.where(match, 0.0, 1.0)
     return out
-
-
-def _identity_residuals(table, emb, met, ff, h) -> dict[str, float]:
-    """_identity_rows at one point; raises where its Z rows give no normal frame."""
-    sig = emb.sig
-    zd = build_z(table, emb, met)
-    zframe = normal_frame_from_z(zd, sig)
-    res = _identity_rows(
-        sig,
-        table.P[None],
-        np.array([table.rho.value]),
-        np.array([met.det_g]),
-        met.ginv[None],
-        h[None],
-        s_operator(table, emb, ff)[None],
-        (zd.Z_lower[None], zd.Z_upper[None], zd.Zmat[None], zd.weights),
-        np.array([zd.delta]),
-        (zframe.sigma[None], zframe.vectors[None]),
-        (ff.sigma[None], ff.vectors[None]),
-    )
-    return {key: float(x[0]) for key, x in res.items()}
 
 
 def _record(
@@ -253,7 +232,22 @@ def _record(
     frame = classical_normal_frame(emb, met)
     h = second_fundamental(emb, frame)
     ff = weingarten_frame(emb, met, frame, h)  # the frame with its derivatives
-    res = _identity_residuals(table, emb, met, ff, h)
+    zd = build_z(table, emb, met)
+    zframe = normal_frame_from_z(zd, emb.sig)  # raises where the Z rows give no frame
+    res = _identity_rows(
+        emb.sig,
+        table.P[None],
+        np.array([table.rho.value]),
+        np.array([met.det_g]),
+        met.ginv[None],
+        h[None],
+        s_operator(table, emb, ff)[None],
+        (zd.Z_lower[None], zd.Z_upper[None], zd.Zmat[None], zd.weights),
+        np.array([zd.delta]),
+        (zframe.sigma[None], zframe.vectors[None]),
+        (ff.sigma[None], ff.vectors[None]),
+    )
+    res = {key: float(x[0]) for key, x in res.items()}
     if level == "invariants":
         res["double_trace"] = float(np.max([
             double_trace_check(table, emb, ff, 0, emb.sig.codim - 1, fa, ha)
@@ -282,7 +276,7 @@ def _table_rows(d: DensityChoice, sig, e, xdd, p, expr=None):
 def _kh_rows(sig, e, table, det_g):
     """K (N,) and H (N, m) from one bracket_rows table, and the rows where either fails closed."""
     P, Pgrad, rv, _ = table
-    T = nested_bracket_rows(e, Pgrad, rv)
+    T = bracket_with_rows(e, Pgrad, rv)  # T[i, k, l] = {x^i, {x^k, x^l}}
     k, *k_fails = gauss_rows(sig, T, rv, det_g)
     h, *h_fails = mean_rows(sig, T, P, rv, det_g)
     return k, h, np.logical_or.reduce([*k_fails, *(f.any(axis=1) for f in h_fails)])
@@ -331,20 +325,16 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
             return cols, bad
     codim = sig.codim
     ginv = inverse_rows(gab, det_g)
-    vectors, sigma, count, null, non_finite = normal_frame_rows(sig, e, ginv)
-    bad |= non_finite | null | (count != codim)
-    sff = second_fundamental_rows(gb, xdd, vectors)
-    frame_grads = weingarten_rows(sff, ginv, e)
-    S = s_rows(e, frame_grads, rv)
     ind_g = index_rows(gab, det_g)
     delta = sig.nu - ind_g
     z = z_rows(sig, P, rv, det_g, (-1.0) ** delta)
-    z_vectors, z_sigma, z_count, z_null, z_non_finite, defect = z_frame_rows(sig, z[0])
-    bad |= z_non_finite | z_null | (z_count != codim) | (defect > 1e-8)
-    res = _identity_rows(
-        sig, P, rv, det_g, ginv, sff, S, z, delta,
-        (z_sigma[:, :codim], z_vectors[:, :codim]), (sigma, vectors),
-    )
+    frame, zframe, frames_bad = _frame_rows(sig, normal_candidate_rows(sig, e, ginv), z[0])
+    bad |= frames_bad
+    sigma, vectors = frame
+    sff = second_fundamental_rows(gb, xdd, vectors)
+    frame_grads = weingarten_rows(sff, ginv, e)
+    S = s_rows(e, frame_grads, rv)
+    res = _identity_rows(sig, P, rv, det_g, ginv, sff, S, z, delta, zframe, frame)
     if level == "invariants":
         at = np.ldexp(u, p), np.ldexp(v, p)
         values, jet_grads, _, jets_bad = eval_tape(_NORMALISED_EXPRS.tape, *at)
@@ -386,8 +376,36 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
     return cols, bad
 
 
-def _names(prefix: str, m: int) -> list[str]:
-    return [f"{prefix}_{i}" for i in range(1, m + 1)]
+def _frame_rows(sig, candidates, z_lower):
+    """The classical frame and the Z frame of N points, and the rows where either fails.
+
+    One orthonormal_rows call runs both pools, padded with zero rows
+    (never live) to one size, for codim + 1 rounds: the classical frame
+    keeps its first codim vectors, as classical_normal_frame does, and the
+    Z rows must span exactly codim directions, as normal_frame_from_z
+    requires.  Returns each frame as (signs (N, p), vectors (N, p, m)).
+    """
+    n, codim, m = len(candidates), sig.codim, sig.m
+    pool = np.zeros((2 * n, max(m, z_lower.shape[1]), m))
+    pool[:n, :m] = candidates
+    pool[n:, : z_lower.shape[1]] = z_lower
+    vectors, signs, count, null, non_finite = orthonormal_rows(
+        pool, sig.gbar, codim + 1, null_tol=_NULL_TOLS.repeat(n)
+    )
+    signs, vectors = signs[:, :codim], vectors[:, :codim]
+    bad = non_finite | (count < codim)
+    bad[n:] |= null[n:] | (count[n:] > codim)
+    bad[n:] |= frame_defect_rows(sig, vectors[n:], signs[n:]) > Z_TOL
+    return (signs[:n], vectors[:n]), (signs[n:], vectors[n:]), bad[:n] | bad[n:]
+
+
+# the null tolerances of the classical frame and of the Z frame, as _frame_rows pools them
+_NULL_TOLS = np.array([FRAME_NULL_TOL, Z_TOL])
+
+
+@functools.lru_cache(maxsize=None)
+def _names(prefix: str, m: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}_{i}" for i in range(1, m + 1))
 
 
 def _chunk_size(m: int, level: str) -> int:

@@ -394,12 +394,12 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     math, so + - * and negation give eval_jet's bits; the functions and
     powers may differ from math in the last place.
 
-    Values are checked at every node, since a function can take an
-    infinite value back to a finite one (tanh, exp, a reciprocal).
-    Derivatives are checked at the outputs only: every rule multiplies or
-    adds its operands' derivatives into its own, so a non-finite
-    derivative entry stays non-finite (inf or NaN, as 0 * inf is NaN) up
-    to an output, and every node feeds an output.
+    Values and derivatives are checked at the outputs: every node feeds
+    an output, and every rule multiplies or adds its operands' values and
+    derivatives into its own, so a non-finite entry stays non-finite (inf
+    or NaN, as 0 * inf is NaN) up to an output.  The one exception is an
+    operand value that a saturating op (_SATURATING) takes back to a
+    finite one, and those operands are checked where they are read.
     """
     n = len(u)
     bad = np.zeros(n, dtype=bool)
@@ -412,8 +412,9 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
             elif op in _SEEDS:
                 jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
             else:
+                if op in _SATURATING or (op == "pow" and c <= 0.0):
+                    bad |= ~np.isfinite((b if op == "/" else a).value)
                 jet = jets.rule(op, a, b, c, np)
-                bad |= ~np.isfinite(jet.value)
                 outside = jets.outside(op, a, b, c)
                 if outside is not False:
                     bad |= outside
@@ -426,9 +427,13 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
         values[out] = jet.value
         grads[out] = jet.grad.T
         hessians[out] = jet.hess.transpose(2, 0, 1)
-    finite = _all(np.isfinite(grads.reshape(len(outs), n, -1)), axis=(0, 2))
-    bad |= ~(finite & _all(np.isfinite(hessians.reshape(len(outs), n, -1)), axis=(0, 2)))
-    return values, grads, hessians, bad
+    finite = _all(np.isfinite(values), axis=0)
+    finite &= _all(np.isfinite(grads.reshape(len(outs), n, -1)), axis=(0, 2))
+    finite &= _all(np.isfinite(hessians.reshape(len(outs), n, -1)), axis=(0, 2))
+    return values, grads, hessians, bad | ~finite
 
 
 _all = np.logical_and.reduce
+# The ops that can take a non-finite operand value to a finite one: exp(-inf)
+# = 0, tanh(inf) = 1, x / inf = 0, and inf**c = 0 or 1 for c <= 0 (pow)
+_SATURATING = ("exp", "tanh", "/")

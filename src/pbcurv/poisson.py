@@ -29,11 +29,10 @@ from .classical import (
     InducedMetric,
     NormalFrame,
     _NullPivot,
-    _first_row,
     det_g_rows,
     fail_closed,
     induced_metric,
-    orthonormal_rows,
+    pivoted_orthonormalize,
     underflowed,
 )
 from .errors import (
@@ -80,8 +79,8 @@ class DensityChoice:
         return DensityChoice("sqrt_abs_g", None, "sqrt_abs_g")
 
     @staticmethod
-    def expression(source: str, normalised: bool = False) -> DensityChoice:
-        return DensityChoice("expression", parse_expression(source), f"expr:{source}", normalised)
+    def expression(source: str) -> DensityChoice:
+        return DensityChoice("expression", parse_expression(source), f"expr:{source}")
 
     @staticmethod
     def from_string(text: str) -> DensityChoice:
@@ -220,12 +219,7 @@ def bracket_rows(e, xdd, rho_value, rho_grad):
 
 def nested_bracket_tensor(table: BracketTable, emb: EmbeddingEval) -> np.ndarray:
     """T[i, k, l] = {x^i, {x^k, x^l}} for all coordinate triples."""
-    return nested_bracket_rows(emb.e[None], table.Pgrad[None], np.array([table.rho.value]))[0]
-
-
-def nested_bracket_rows(e, Pgrad, rv):
-    """nested_bracket_tensor of N points: (N, m, m, m)."""
-    return bracket_with_rows(e, Pgrad, rv)
+    return bracket_with_rows(emb.e[None], table.Pgrad[None], np.array([table.rho.value]))[0]
 
 
 def bracket_with_rows(e, grad, rv):
@@ -531,6 +525,10 @@ def _abs_max(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(-2, -1))
 
 
+# Null pivots, rank and orthonormality of the frame from the Z rows.
+Z_TOL = 1e-8
+
+
 def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     """Extract a pseudo-orthonormal normal frame from the bracket rows.
 
@@ -538,12 +536,12 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     it, so greedy Gram-Schmidt under gbar on those C(m, 3) length-m rows
     yields the frame and its signs directly; Zmat is not used.  Raises
     RankDeficiencyError when the rows do not span exactly codim
-    directions at tolerance 1e-8 (see z_frame_rows).
+    directions at tolerance Z_TOL, or when the frame fails orthonormality
+    (frame_defect_rows) by more than Z_TOL.
     """
     p = sig.codim
-    *rows, defect = z_frame_rows(sig, zd.Z_lower[None])
     try:
-        normals, sigma = _first_row(*rows)
+        normals, sigma = pivoted_orthonormalize(zd.Z_lower, sig.gbar, sig.m, null_tol=Z_TOL)
     except _NullPivot as exc:
         raise RankDeficiencyError(
             f"projector image contains only null directions after {exc.args[0]} vectors"
@@ -552,25 +550,18 @@ def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
         raise RankDeficiencyError(
             f"projector image has rank {normals.shape[0]}, expected {p}"
         )
-    if defect[0] > 1e-8:
+    defect = frame_defect_rows(sig, normals[None], sigma[None])[0]
+    if defect > Z_TOL:
         raise RankDeficiencyError(
-            f"extracted frame fails orthonormality by {float(defect[0])!r}"
+            f"extracted frame fails orthonormality by {float(defect)!r}"
         )
     return NormalFrame(normals, sigma)
 
 
-def z_frame_rows(sig: AmbientSignature, ZL):
-    """normal_frame_from_z for N points: orthonormal_rows of their Z rows (N, n, m).
-
-    Also returns each row's orthonormality defect, max |gbar(N_A, N_B) -
-    sigma_A delta_AB| over its first codim vectors.
-    """
-    p = sig.codim
-    vectors, signs, count, null, non_finite = orthonormal_rows(ZL, sig.gbar, sig.m, null_tol=1e-8)
-    frame = vectors[:, :p]
-    gram = (frame * sig.gbar) @ frame.transpose(0, 2, 1)
-    defect = _abs_max(gram - signs[:, :p, None] * np.eye(p))
-    return vectors, signs, count, null, non_finite, defect
+def frame_defect_rows(sig: AmbientSignature, vectors, signs):
+    """max |gbar(N_A, N_B) - sigma_A delta_AB| of N frames: vectors (N, p, m), signs (N, p)."""
+    gram = (vectors * sig.gbar) @ vectors.transpose(0, 2, 1)
+    return _abs_max(gram - signs[:, :, None] * np.eye(vectors.shape[1]))
 
 
 # --- Frame-free curvature ------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pbcurv import classical
 from pbcurv.classical import (
+    InducedMetric,
     _NullPivot,
     classical_gauss,
     classical_mean,
@@ -48,6 +50,14 @@ def test_plane_metric():
     assert np.allclose(met.gab, np.eye(2), atol=1e-15, rtol=0.0)
     assert met.det_g == 1.0
     assert met.ind_g == 0
+
+
+def test_induced_metric_is_a_record_of_its_four_fields():
+    emb, met = embed("de-sitter", (0.4, 1.1))
+    assert [f.name for f in dataclasses.fields(InducedMetric)] == ["gab", "det_g", "ind_g", "ginv"]
+    rebuilt = InducedMetric(met.gab, met.det_g, met.ind_g, met.ginv)
+    assert rebuilt.ind_g == 1
+    assert np.allclose(rebuilt.ginv @ rebuilt.gab, np.eye(2), atol=1e-14, rtol=0.0)
 
 
 def test_sphere_metric():

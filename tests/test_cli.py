@@ -198,16 +198,17 @@ def _count_calls(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
-    chunks = _count_calls(monkeypatch, cli, "nested_bracket_rows")
+    # cli's own bracket_with_rows calls build T; s_rows and the double traces call poisson's
+    chunks = _count_calls(monkeypatch, cli, "bracket_with_rows")
     tables = _count_calls(monkeypatch, cli, "build_bracket_table")
     tensors = _count_calls(monkeypatch, poisson, "nested_bracket_tensor")
     # plain curvature builds T once per chunk of points and no per-point table
@@ -237,7 +238,7 @@ def test_nested_bracket_tensor_built_once_per_table(capsys, monkeypatch):
 )
 def test_invariants_reuses_the_run_table(rho, expected, capsys, monkeypatch):
     tables = _count_calls(monkeypatch, cli, "bracket_rows")
-    tensors = _count_calls(monkeypatch, cli, "nested_bracket_rows")
+    tensors = _count_calls(monkeypatch, cli, "bracket_with_rows")  # T, as above
     points = _count_calls(monkeypatch, cli, "build_bracket_table")
     monkeypatch.setattr(cli, "CHUNK_FLOATS", 5 * 3**3)  # chunks of 5 points
     assert run_cli(["invariants", "torus", "--grid", "6x6", *rho], capsys)[0] == 0
@@ -257,7 +258,10 @@ def test_centre_point_evaluated_once(args, capsys, monkeypatch):
     evaluations = _count_calls(monkeypatch, cli, "eval_tape")
     residuals = _count_calls(monkeypatch, cli, "_identity_rows")
     points = _count_calls(monkeypatch, cli, "_record")
+    frames = _count_calls(monkeypatch, cli, "orthonormal_rows")
     assert run_cli(args + ["--grid", "3x3"], capsys)[0] == 0
+    # one Gram-Schmidt pivots both normal frames: the classical candidates and the Z rows
+    assert [len(pools) for pools, *_ in frames] == [2]
     # one interior point: the frame derivatives come from its own jets, and
     # both commands compute its identity residuals once, in one batch; the
     # coordinates' tape is walked once (invariants also walks the tape of its

@@ -152,12 +152,13 @@ class InducedMetric:
 
 def induced_metric(emb: EmbeddingEval) -> InducedMetric:
     gab, det, non_finite, singular = metric_rows(emb.sig.gbar, emb.e[None])
-    det_g = float(det[0])
+    gab, det = gab[0], det[0]
+    det_g = float(det)
     if non_finite[0]:
         raise DegenerateMetricError(f"induced metric is not finite: det g = {det_g!r}")
     if singular[0]:
         raise DegenerateMetricError(f"induced metric is singular: det g = {det_g!r}")
-    return InducedMetric(gab[0], det_g, int(index_rows(gab, det)[0]), inverse_rows(gab, det)[0])
+    return InducedMetric(gab, det_g, int(index_rows(gab, det_g)), inverse_rows(gab, det))
 
 
 def _gram_rows(gbar: np.ndarray, e: np.ndarray):
@@ -183,13 +184,16 @@ _ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def inverse_rows(gab: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """g^ab = adj g / det g per row: (N, 2, 2)."""
-    return gab[:, ::-1, ::-1] * _ADJUGATE_SIGNS / det[:, None, None]
+    """g^ab = adj g / det g, per row (N, 2, 2) or for one point (2, 2)."""
+    return gab[..., ::-1, ::-1] * _ADJUGATE_SIGNS / det[..., None, None]
 
 
 def index_rows(gab: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """The index of g per row: its count of negative eigenvalues, 0, 1 or 2."""
-    return np.where(det < 0.0, 1, np.where(gab[:, 0, 0] > 0.0, 0, 2))
+    """The index of g, its count of negative eigenvalues (0, 1 or 2), per row or for one point.
+
+    det g < 0 means one negative eigenvalue; otherwise g_00 gives the sign of both.
+    """
+    return (det < 0.0) + 2 * ((det >= 0.0) & (gab[..., 0, 0] <= 0.0))
 
 
 def det_g_rows(gbar: np.ndarray, e: np.ndarray, xdd: np.ndarray):
@@ -290,8 +294,8 @@ def orthonormal_rows(
             pivot = resid.reshape(-1, m).take(best, axis=0)
             vec = vectors[:, k] = pivot / np.sqrt(np.abs(ip))[:, None]
             if k + 1 < max_count:  # the last vector projects nothing
-                proj = np.sign(ip)[:, None] * np.add.reduce(weighted * vec[:, None], axis=2)
-                resid = resid - proj[:, :, None] * vec[:, None]
+                proj = np.add.reduce(weighted * vec[:, None], axis=2)  # <w, vec> of each residual
+                resid = resid - proj[:, :, None] * (np.sign(ip)[:, None] * vec)[:, None]
     # a row keeps its pivots up to its first round with no quality above null_tol
     rounds = k + 1
     accepted = np.logical_and.accumulate(tops[:, :rounds] > null_tol[:, None], axis=1)
@@ -327,15 +331,15 @@ def pivoted_orthonormalize(
 
 
 def normal_candidate_rows(sig: AmbientSignature, e: np.ndarray, ginv: np.ndarray, basis=None):
-    """The normal candidates of N points, (N, m, m): each seed vector less its tangential part.
+    """The normal candidates (N, m, m) of N points, or (m, m) of one point.
 
-    The seed vectors are the rows of basis, the identity by default, and
-    v -> v - g^{ab} gbar(v, e_a) e_b removes the tangential part; e is
-    (N, 2, m) and ginv (N, 2, 2).
+    Each is a seed vector, a row of basis (the identity by default), less
+    its tangential part: v -> v - g^{ab} gbar(v, e_a) e_b.  e is (N, 2, m)
+    and ginv (N, 2, 2), or (2, m) and (2, 2).
     """
     if basis is None:  # gbar(e_i, e_a) of the coordinate basis, read off e
-        return _identity(sig.m) - (e * sig.gbar).transpose(0, 2, 1) @ ginv @ e
-    return basis - (basis * sig.gbar) @ e.transpose(0, 2, 1) @ ginv @ e
+        return _identity(sig.m) - (e * sig.gbar).swapaxes(-1, -2) @ ginv @ e
+    return basis - (basis * sig.gbar) @ e.swapaxes(-1, -2) @ ginv @ e
 
 
 @lru_cache(maxsize=None)
@@ -362,7 +366,7 @@ def classical_normal_frame(
     basis = None if seed_basis is None else np.asarray(seed_basis, dtype=float)
     if basis is not None and basis.shape != (m, m):
         raise ValueError(f"seed basis must be {m}x{m}, got {basis.shape}")
-    candidates = normal_candidate_rows(sig, emb.e[None], met.ginv[None], basis)[0]
+    candidates = normal_candidate_rows(sig, emb.e, met.ginv, basis)
     try:
         vectors, signs = pivoted_orthonormalize(candidates, sig.gbar, p, null_tol=FRAME_NULL_TOL)
     except _NullPivot as exc:

@@ -18,7 +18,7 @@ import pbcurv
 from pbcurv import classical, cli, exprlang, poisson, surfaces
 from pbcurv.classical import evaluate_embedding, induced_metric
 from pbcurv.cli import main
-from pbcurv.errors import ConfigError, DegenerateMetricError
+from pbcurv.errors import ConfigError, DegenerateMetricError, RankDeficiencyError
 from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.jets import FUNCTIONS
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
@@ -374,6 +374,34 @@ def test_plain_rows_do_not_depend_on_the_chunk_size(config, fmt, level, tmp_path
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "z_lower",
+    [
+        [[0.0, 0.0, 1.0]],  # the normal
+        [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],  # the normal, then only a null direction
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],  # rank 2
+        [[1.0, 1.0, 0.0]],  # only a null direction
+        [[0.0, 0.0, 0.0]],  # rank 0
+    ],
+    ids=["normal", "null-after-one", "rank-2", "null-only", "rank-0"],
+)
+def test_frame_rows_flag_the_z_rows_normal_frame_from_z_refuses(z_lower):
+    # gbar = (-1, 1, 1) and codim 1; the classical candidates are fine, so
+    # the flag is the Z frame's alone, and it must match the per-point raise
+    sig = poisson.AmbientSignature(3, 1)
+    rows = np.array(z_lower)
+    zd = poisson.ZData([(1,)] * len(rows), np.ones(len(rows)), rows, rows, np.eye(len(rows)), 0, 1)
+    try:
+        poisson.normal_frame_from_z(zd, sig)
+        refused = False
+    except RankDeficiencyError:
+        refused = True
+    with np.errstate(all="ignore"):  # as in cli._batch_records: flagged rows hold garbage
+        *_, bad = cli._frame_rows(sig, np.eye(3)[None], rows[None])
+    assert bad.tolist() == [refused]
+    assert refused == (z_lower != [[0.0, 0.0, 1.0]])
 
 
 def test_an_m8_compare_chunk_bounds_its_z_projector(capsys, monkeypatch, tmp_path):

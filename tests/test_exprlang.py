@@ -326,6 +326,27 @@ def test_tape_gives_eval_jet_bits_on_sums_and_products(roots, points):
                 assert _same_bits(ref, values[j, n], grads[j, n], hessians[j, n]), (roots, at)
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "exp(-(1e200*1e200))*u",
+        "u + tanh(1e200*1e200)",
+        "u/(1e200*1e200)",
+        "u + (1e200*1e200)^-1",
+        "u + (1e200*1e200)^0",
+    ],
+)
+def test_tape_flags_an_overflow_that_a_saturating_op_hides(source):
+    # the product overflows with zero derivatives, and the op after it
+    # returns a finite value: only the check at that op's operand sees it
+    tape = parse_expression(source).tape
+    with pytest.raises(EvalError, match="mul overflows"):
+        eval_jet(tape, (0.5, 0.25))
+    values, _, _, bad = _tape_rows(tape, [(0.5, 0.25), (1.5, -2.0)])
+    assert bad.tolist() == [True, True]
+    assert np.isfinite(values).all()
+
+
 def test_tape_shares_equal_subtrees():
     ring = "(2 + cos(u))"
     asts = [parse_expression(f"{ring}*cos(v)"), parse_expression(f"{ring}*sin(v)")]

@@ -122,10 +122,6 @@ _COMPARE_RESIDUALS = {
 _RESIDUAL_COLUMNS = (*_COMPARE_RESIDUALS, "res_rho_indep")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 # The residual formulas take rows (arrays with the batch axis first) or one
 # point (floats and vectors), and propagate NaN, as poisson.relative does.
 
@@ -414,43 +410,40 @@ def _chunk_size(m: int, level: str) -> int:
     return max(1, CHUNK_FLOATS // largest)
 
 
-def _batch_records(spec: SurfaceSpec, rho: DensityChoice, points, level: str) -> list[dict | None]:
-    """The records of all points at one level, in chunks; None for a row to recompute."""
+def _records(spec, rho, points, level: str, skip_degenerate: bool = False) -> dict[str, list]:
+    """The columns of all grid points at one level, {key: list over the points}, in grid order.
+
+    Every level runs batched over the grid, in chunks (_chunk); a row it
+    flags runs through _record, which raises the point's own error, and
+    its values replace the row's slot in every column.  A geometric error
+    is a skipped row, None after u, v and status, or exit 3.
+    """
     size = _chunk_size(spec.m, level)
-    records: list[dict | None] = []
+    table: dict[str, list] = {
+        "u": [pt[2] for pt in points],
+        "v": [pt[3] for pt in points],
+        "status": ["ok"] * len(points),
+    }
+    flagged: list[int] = []
     for start in range(0, len(points), size):
-        chunk = points[start:start + size]
-        u = np.array([pt[2] for pt in chunk])
-        v = np.array([pt[3] for pt in chunk])
+        u = np.array(table["u"][start:start + size])
+        v = np.array(table["v"][start:start + size])
         with np.errstate(all="ignore"):  # flagged rows are recomputed, not warned about
             cols, bad = _chunk(spec, rho, u, v, level)
-        names = ["u", "v", "status", *cols]
-        values = [u.tolist(), v.tolist(), itertools.repeat("ok")]
-        values += [col.tolist() for col in cols.values()]
-        records += [
-            None if flagged else dict(zip(names, row))
-            for row, flagged in zip(zip(*values), bad.tolist())
-        ]
-    return records
-
-
-def _records(spec, rho, points, level: str, skip_degenerate: bool = False) -> list[dict]:
-    """One record per grid point: a geometric error is a skipped row or exit 3.
-
-    Every level runs batched over the grid (_batch_records); a row it
-    flags runs through _record, which raises the point's own error.
-    """
-    records = []
-    for (_, _, u, v), record in zip(points, _batch_records(spec, rho, points, level)):
-        if record is None:
-            try:
-                record = _record(spec, rho, (u, v), level)
-            except GeometricError as exc:
-                if not skip_degenerate:
-                    raise _geometric((u, v), exc) from exc
-                record = {"u": u, "v": v, "status": f"skipped: {exc}"}
-        records.append(record)
-    return records
+        for key, col in cols.items():
+            table.setdefault(key, []).extend(col.tolist())
+        flagged += (np.flatnonzero(bad) + start).tolist()
+    for i in flagged:
+        at = table["u"][i], table["v"][i]
+        try:
+            record = _record(spec, rho, at, level)
+        except GeometricError as exc:
+            if not skip_degenerate:
+                raise _geometric(at, exc) from exc
+            record = {"u": at[0], "v": at[1], "status": f"skipped: {exc}"}
+        for key, col in table.items():
+            col[i] = record.get(key)
+    return table
 
 
 def _columns(m: int, compare: bool) -> list[str]:
@@ -463,7 +456,17 @@ def _columns(m: int, compare: bool) -> list[str]:
     return cols
 
 
-def _emit(records: list[dict], columns: list[str], args, spec: SurfaceSpec, out) -> None:
+def _cell(value) -> str:
+    """One CSV cell of a skipped row: None is empty, a status holding a comma is quoted."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if "," in value else value
+    return format(float(value), ".17g")
+
+
+def _emit(table: dict[str, list], columns: list[str], args, spec: SurfaceSpec, out) -> None:
+    rows = zip(*(table[col] for col in columns))
     if args.format == "json":
         payload = {
             "surface": spec.name,
@@ -471,48 +474,43 @@ def _emit(records: list[dict], columns: list[str], args, spec: SurfaceSpec, out)
             "nu": spec.nu,
             "rho": args.rho if args.rho else spec.rho,
             "points": [
-                {col: rec.get(col) for col in columns if col in rec} for rec in records
+                {col: x for col, x in zip(columns, row) if x is not None} for row in rows
             ],
         }
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
         return
     out.write(",".join(columns) + "\n")
-    for rec in records:
-        cells = []
-        for col in columns:
-            value = rec.get(col)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, str):
-                cells.append('"' + value.replace('"', '""') + '"' if "," in value else value)
-            else:
-                cells.append(_fmt(value))
-        out.write(",".join(cells) + "\n")
+    ok_row = ",".join("%s" if col == "status" else "%.17g" for col in columns) + "\n"
+    out.writelines(
+        ok_row % row if status == "ok" else ",".join(map(_cell, row)) + "\n"
+        for status, row in zip(table["status"], rows)
+    )
 
 
 def cmd_curvature(args) -> int:
     spec, rho, points = _load(args)
     level = "compare" if args.compare else "plain"
-    records = _records(spec, rho, points, level, args.skip_degenerate)
+    table = _records(spec, rho, points, level, args.skip_degenerate)
     columns = _columns(spec.m, args.compare)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            _emit(records, columns, args, spec, fh)
+            _emit(table, columns, args, spec, fh)
     else:
-        _emit(records, columns, args, spec, sys.stdout)
+        _emit(table, columns, args, spec, sys.stdout)
     if level == "plain":
         return 0
     tol = args.tolerance if args.tolerance is not None else 1e-8
-    ok = [rec for rec in records if rec["status"] == "ok"]
-    gate = np.array([[rec["oracle_res"], *(rec[c] for c in _RESIDUAL_COLUMNS)] for rec in ok])
+    ok = np.flatnonzero([status == "ok" for status in table["status"]])
+    gate = np.array([table[key] for key in ("oracle_res", *_RESIDUAL_COLUMNS)], dtype=float)
     # finite identity residuals are reported, not gated; NaN fails
-    failed = ~(gate[:, 0] <= tol) | ~np.isfinite(gate[:, 1:]).all(axis=1) if ok else []
-    if np.any(failed):
-        rec = ok[int(np.argmax(failed))]
-        print(f"comparison failure at (u, v) = ({rec['u']!r}, {rec['v']!r})", file=sys.stderr)
+    failed = ~(gate[0, ok] <= tol) | ~np.isfinite(gate[1:, ok]).all(axis=0)
+    if failed.any():
+        i = ok[np.argmax(failed)]
+        at = table["u"][i], table["v"][i]
+        print(f"comparison failure at (u, v) = {at!r}", file=sys.stderr)
         return 1
-    if not ok:
+    if not len(ok):
         print("comparison failure: no point was compared", file=sys.stderr)
         return 1
     return 0
@@ -520,14 +518,14 @@ def cmd_curvature(args) -> int:
 
 def cmd_invariants(args) -> int:
     spec, rho, points = _load(args)
-    records = _records(spec, rho, points, "invariants")
+    table = _records(spec, rho, points, "invariants")
     tolerances = dict(_IDENTITY_TOLERANCES)
     if args.tolerance is not None:
         tolerances = {key: args.tolerance for key in tolerances}
     # np.max, not nanmax: a NaN residual fails its row
-    maxima = np.max([[rec[key] for key in tolerances] for rec in records], axis=0, initial=0.0)
+    maxima = np.max([table[key] for key in tolerances], axis=1, initial=0.0)
     worst = dict(zip(tolerances, maxima.tolist()))
-    ind_g, sigma = records[0]["ind_g"], records[0]["sigma"]
+    ind_g, sigma = table["ind_g"][0], table["sigma"][0]
     print(f"surface: {spec.name}  m={spec.m}  nu={spec.nu}  rho={rho.source}")
     print(
         f"ind_g={ind_g}  delta={spec.nu - ind_g}  "

@@ -20,17 +20,18 @@ from helpers import (
     rel,
     vec_rel,
 )
-from pbcurv import tensor
+from pbcurv import cli, tensor
 from pbcurv.classical import (
     classical_gauss,
     classical_mean,
     classical_normal_frame,
     evaluate_embedding,
     induced_metric,
+    metric_rows,
     normal_projector,
     second_fundamental,
 )
-from pbcurv.exprlang import eval_jet, parse_expression
+from pbcurv.exprlang import eval_jet, eval_tape, parse_expression
 from pbcurv.poisson import (
     DensityChoice,
     build_bracket_table,
@@ -372,3 +373,54 @@ def test_jets_match_finite_differences():
         f"jet derivatives vs finite differences ({n_checks} samples)",
         [("gradients", worst_grad, 1e-6), ("Hessians", worst_hess, 1e-4)],
     )
+
+
+# The integral of K dA over the whole domain: 0 on the closed torus by
+# Gauss-Bonnet, closed forms on the bands.  (expected, periodic in u,
+# periodic in v); the trapezoid rule converges spectrally in a periodic
+# direction, Gauss-Legendre in the others.
+TOTAL_CURVATURE = {
+    "torus": (0.0, True, True),
+    "sphere": (4.0 * math.pi * math.cos(0.2), False, True),
+    "sphere-r2": (4.0 * math.pi * math.cos(0.2), False, True),
+    "catenoid": (-4.0 * math.pi * math.tanh(1.0), False, True),
+    "hyperbolic-plane": (-2.0 * math.pi * (math.cosh(1.5) - math.cosh(0.2)), False, True),
+    "de-sitter": (4.0 * math.pi * math.sinh(1.0), False, True),
+}
+
+
+def _quadrature(lo, hi, periodic, n=16):
+    """Nodes and weights on [lo, hi]: the trapezoid rule if periodic, else Gauss-Legendre."""
+    if periodic:
+        return lo + (hi - lo) * np.arange(n) / n, np.full(n, (hi - lo) / n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, 0.5 * (hi - lo) * w
+
+
+def _total_curvature_error(name, plant=lambda k: k):
+    """|sum of K dA - expected| / sum of |K dA|, K from the batched plain level at 16x16 nodes.
+
+    dA = sqrt|det g| comes from the coordinates' jets and metric_rows,
+    not from the bracket path; plant alters K before it is integrated.
+    """
+    spec = load_spec(name)
+    expected, *periodic = TOTAL_CURVATURE[name]
+    u0, u1, v0, v1 = spec.domain
+    (us, wu), (vs, wv) = _quadrature(u0, u1, periodic[0]), _quadrature(v0, v1, periodic[1])
+    u, v = (x.ravel() for x in np.meshgrid(us, vs, indexing="ij"))
+    cols, bad = cli._chunk(spec, spec.density(), u, v, "plain")
+    assert not bad.any(), name
+    _, grads, _, _ = eval_tape(spec.coord_asts.tape, u, v)
+    _, det_g, _, _ = metric_rows(spec.signature.gbar, grads.transpose(1, 2, 0))
+    terms = np.outer(wu, wv).ravel() * plant(cols["K_full"]) * np.sqrt(np.abs(det_g))
+    return abs(terms.sum() - expected) / np.abs(terms).sum()
+
+
+def test_total_curvature_matches_gauss_bonnet_and_closed_forms():
+    _verdict(
+        "total curvature through the batched plain level (16x16 nodes)",
+        [(name, _total_curvature_error(name), 1e-12) for name in TOTAL_CURVATURE],
+    )
+    # a K with its sign flipped, or off by one part in 1e9, fails the same check
+    assert _total_curvature_error("de-sitter", np.negative) > 1e-12
+    assert _total_curvature_error("sphere", lambda k: k * (1.0 + 1e-9)) > 1e-12

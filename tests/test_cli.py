@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -376,6 +377,59 @@ def test_plain_rows_do_not_depend_on_the_chunk_size(config, fmt, level, tmp_path
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("compare", [[], ["--compare"]], ids=["plain", "compare"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_skipped_rows_do_not_depend_on_the_chunk_size(fmt, compare, tmp_path, capsys, monkeypatch):
+    # ln(u) fails for u <= 0: 12 of the 20 rows are skipped, spread over several chunks
+    cfg = tmp_path / "log.surface"
+    cfg.write_text('m = 3\nnu = 0\ncoords = ["u", "v", "ln(u)"]\ndomain = [-1, 1, 0, 1]\n')
+    argv = ["curvature", str(cfg), "--grid", "7x6", "--format", fmt, *compare]
+    skipped, failed = [], []
+    for floats in (cli.CHUNK_FLOATS, 7 * 3**3, 1):  # one chunk, 7 points, 1 point
+        monkeypatch.setattr(cli, "CHUNK_FLOATS", floats)
+        skipped.append(run_cli(argv + ["--skip-degenerate"], capsys))
+        failed.append(run_cli(argv, capsys))
+    assert skipped[0] == skipped[1] == skipped[2]
+    assert failed[0] == failed[1] == failed[2]
+    code, out, err = skipped[0]
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        statuses = [row["status"] for row in parse_csv(out)[1]]
+    else:
+        points = json.loads(out)["points"]
+        statuses = [point["status"] for point in points]
+        # a skipped row holds u, v and its status alone
+        assert all(point.keys() == {"u", "v", "status"} for point in points if point["status"] != "ok")
+    assert len(statuses) == 20 and statuses.count("ok") == 8
+    code, out, err = failed[0]
+    assert (code, out) == (3, "")
+    message = "ln is undefined at value -0.6666666666666667 (expression offset 0)"
+    assert err == f"geometric error: at (u, v) = (-0.6666666666666667, 0.2): {message}\n"
+
+
+def test_csv_cells_of_ok_and_skipped_rows():
+    assert cli._cell(None) == ""
+    assert cli._cell("skipped: no comma") == "skipped: no comma"
+    assert cli._cell('skipped: at (u, v), "x"') == '"skipped: at (u, v), ""x"""'
+    assert [cli._cell(x) for x in (-0.0, math.inf, math.nan)] == ["-0", "inf", "nan"]
+    # an ok row goes through one template, a skipped row cell by cell: the
+    # same numbers give the bytes of format(x, ".17g") either way
+    columns = cli._columns(4, False)
+    values = [-0.0, math.inf, math.nan, -math.inf, 0.1, 5e-324, -1.25e300]
+    table = {key: [x, x, None] for key, x in zip([c for c in columns if c != "status"], values)}
+    table["u"][2], table["v"][2] = 2.0, 3.0
+    table["status"] = ["ok", 'skipped: a, "b"', "skipped"]
+    out = io.StringIO()
+    cli._emit(table, columns, argparse.Namespace(format="csv", rho=None), None, out)
+    cells = [format(float(x), ".17g") for x in values]
+    assert out.getvalue().splitlines() == [
+        ",".join(columns),
+        ",".join([*cells[:2], "ok", *cells[2:]]),
+        ",".join([*cells[:2], '"skipped: a, ""b"""', *cells[2:]]),
+        "2,3,skipped,,,,,",
+    ]
+
+
 @pytest.mark.parametrize(
     "z_lower",
     [
@@ -398,7 +452,7 @@ def test_frame_rows_flag_the_z_rows_normal_frame_from_z_refuses(z_lower):
         refused = False
     except RankDeficiencyError:
         refused = True
-    with np.errstate(all="ignore"):  # as in cli._batch_records: flagged rows hold garbage
+    with np.errstate(all="ignore"):  # as in cli._records: flagged rows hold garbage
         *_, bad = cli._frame_rows(sig, np.eye(3)[None], rows[None])
     assert bad.tolist() == [refused]
     assert refused == (z_lower != [[0.0, 0.0, 1.0]])
@@ -436,13 +490,13 @@ _CHECK_LEVEL_DENSITIES = [
     _CHECK_LEVEL_DENSITIES,
     ids=[rho if level == "plain" else f"{level}-{rho}" for rho, level in _CHECK_LEVEL_DENSITIES],
 )
-def test_plain_rows_match_the_library_point_calls(rho, level, capsys):
+def test_plain_rows_match_the_library_point_calls(rho, level, capsys, monkeypatch):
     # the grid's jets come from the tape (numpy), a point's from eval_jet
     # (math): K and H agree to within 64 eps of the closed forms' rounding scale
     eps = np.finfo(float).eps
     density = poisson.DensityChoice.from_string(rho)
     if level != "plain":
-        _assert_check_rows_match_the_point_path(density, level)
+        _assert_check_rows_match_the_point_path(density, level, monkeypatch)
         return
     for name, spec in CATALOG.items():
         code, out, _ = run_cli(["curvature", name, "--grid", "6x6", "--rho", rho], capsys)
@@ -457,7 +511,7 @@ def test_plain_rows_match_the_library_point_calls(rho, level, capsys):
             assert np.all(np.abs(h_row - h) <= 64 * eps * s_h), (name, row["u"], row["v"])
 
 
-def _assert_check_rows_match_the_point_path(density, level):
+def _assert_check_rows_match_the_point_path(density, level, monkeypatch):
     """Every batched row of the level agrees with cli._record at its point.
 
     K, H and the frame and oracle values within 64 eps of the row's largest
@@ -465,12 +519,15 @@ def _assert_check_rows_match_the_point_path(density, level):
     and the index of g exactly.
     """
     eps = np.finfo(float).eps
+    record = cli._record
+    recomputed = _count_calls(monkeypatch, cli, "_record")
     for name, spec in CATALOG.items():
         points = grid_points(spec, (6, 6))
-        batch = cli._batch_records(spec, density, points, level)
-        for (_, _, u, v), row in zip(points, batch):
-            assert row is not None, (name, u, v)
-            point = cli._record(spec, density, (u, v), level)
+        table = cli._records(spec, density, points, level)
+        assert recomputed == [], name  # every row comes from the batch
+        for i, (_, _, u, v) in enumerate(points):
+            row = {key: col[i] for key, col in table.items()}
+            point = record(spec, density, (u, v), level)
             assert row.keys() == point.keys()
             scale = max([1.0] + [abs(x) for key, x in row.items() if key[0] in "KH"])
             for key, x in row.items():
@@ -1243,8 +1300,23 @@ def _fuzz_extend(child):
 
 _FUZZ_EXPR = st.recursive(_FUZZ_LEAVES, _fuzz_extend, max_leaves=8)
 _FUZZ_COMMANDS = (
-    ["curvature"], ["curvature", "--skip-degenerate"], ["curvature", "--compare"], ["invariants"]
+    ["curvature"], ["curvature", "--skip-degenerate"], ["curvature", "--compare"], ["invariants"],
+    ["curvature", "--skip-degenerate", "--compare"],
+    ["curvature", "--skip-degenerate", "--format", "json"],
+    ["curvature", "--skip-degenerate", "--compare", "--format", "json"],
 )
+
+
+def _assert_csv_json_agree(csv_text, json_text):
+    """The same rows, statuses and bits; a skipped row's empty CSV cells are absent in JSON."""
+    _, rows = parse_csv(csv_text)
+    points = json.loads(json_text)["points"]
+    assert len(rows) == len(points)
+    for row, point in zip(rows, points):
+        cells = {key: x for key, x in row.items() if x != ""}
+        assert cells.keys() == point.keys(), (row, point)
+        assert cells.pop("status") == point["status"]
+        assert all(x.hex() == float(point[key]).hex() for key, x in cells.items()), (row, point)
 
 
 @settings(max_examples=500)
@@ -1258,12 +1330,14 @@ def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, rho, tmp_pat
     quoted = ", ".join(f'"{c}"' for c in coords)
     cfg.write_text(f"m = 3\nnu = 0\ncoords = [{quoted}]\ndomain = {domain}\ngrid = [4, 4]\n")
     density = [] if rho is None else ["--rho", f"expr:{rho}"]
+    runs = {}
     for args in _FUZZ_COMMANDS:
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([args[0], str(cfg), *args[1:], *density])
+        runs[tuple(args)] = code, out.getvalue(), err.getvalue()
         assert code in (0, 1, 2, 3), (args, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 2:
@@ -1280,8 +1354,16 @@ def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, rho, tmp_pat
             assert len(rows) == len(cli._IDENTITY_TOLERANCES)
             assert all(row[-1] == "FAIL" for row in rows if math.isnan(float(row[1]))), rows
             assert any(row[-1] == "FAIL" for row in rows) == (code == 1), rows
-        if args[0] == "curvature" and code in (0, 1):
+        if args[0] == "curvature" and "json" not in args and code in (0, 1):
             _, rows = parse_csv(out.getvalue())
             for row in rows:
                 if row["status"] == "ok":
                     assert all(math.isfinite(x) for x in row.values() if isinstance(x, float)), row
+    # the CSV and JSON writers agree, with and without --compare
+    for args in (["--skip-degenerate"], ["--skip-degenerate", "--compare"]):
+        (code, csv_out, err), (json_code, json_out, json_err) = (
+            runs[("curvature", *args, *fmt)] for fmt in ([], ["--format", "json"])
+        )
+        assert (json_code, json_err) == (code, err), args
+        if code in (0, 1):
+            _assert_csv_json_agree(csv_out, json_out)

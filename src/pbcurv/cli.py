@@ -465,21 +465,40 @@ def _cell(value) -> str:
     return format(float(value), ".17g")
 
 
+_encode = json.JSONEncoder().encode  # json.dumps' C string encoder, ensure_ascii
+
+
+def _json_rows(table: dict[str, list], columns: list[str]):
+    """The rows of the JSON points list, as json.dumps(indent=2) writes them.
+
+    An ok row of finite floats goes through one %r template (json's own
+    float.__repr__); any other row goes through the encoder cell by cell,
+    None cells left out.
+    """
+    keys = [_encode(col) for col in columns]
+    fields = [_encode("ok") if col == "status" else "%r" for col in columns]
+    template = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fields)) + "\n    }"
+    numeric = zip(*(table[col] for col in columns if col != "status"))
+    for status, cells, row in zip(table["status"], numeric, zip(*(table[col] for col in columns))):
+        # a finite sum of floats has no NaN or inf cell; one that overflows takes the slow path
+        if status == "ok" and {*map(type, cells)} == {float} and math.isfinite(sum(cells)):
+            yield template % cells
+            continue
+        items = [f"      {key}: {_encode(x)}" for key, x in zip(keys, row) if x is not None]
+        yield "    {\n" + ",\n".join(items) + "\n    }"
+
+
 def _emit(table: dict[str, list], columns: list[str], args, spec: SurfaceSpec, out) -> None:
-    rows = zip(*(table[col] for col in columns))
     if args.format == "json":
-        payload = {
-            "surface": spec.name,
-            "m": spec.m,
-            "nu": spec.nu,
-            "rho": args.rho if args.rho else spec.rho,
-            "points": [
-                {col: x for col, x in zip(columns, row) if x is not None} for row in rows
-            ],
-        }
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        # the bytes of json.dumps(payload, indent=2) + "\n", payload being
+        # the head and a {column: cell} dict per row without its None cells
+        rho = args.rho if args.rho else spec.rho
+        head = [("surface", spec.name), ("m", spec.m), ("nu", spec.nu), ("rho", rho)]
+        out.write("{\n" + "".join(f"  {_encode(k)}: {_encode(x)},\n" for k, x in head))
+        rows = ",\n".join(_json_rows(table, columns))
+        out.write(f'  "points": [\n{rows}\n  ]\n}}\n' if rows else '  "points": []\n}\n')
         return
+    rows = zip(*(table[col] for col in columns))
     out.write(",".join(columns) + "\n")
     ok_row = ",".join("%s" if col == "status" else "%.17g" for col in columns) + "\n"
     out.writelines(
@@ -596,9 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args does not change the parser, so one serves every call of main
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol = getattr(args, "tolerance", None)
         if tol is not None and not math.isfinite(tol):

@@ -93,10 +93,10 @@ def grid_points(
     u0, u1, v0, v1 = spec.domain
     f = spec.excluded_margins
     du, dv = u1 - u0, v1 - v0
-    us = np.linspace(u0 + f * du, u1 - f * du, nu_)
-    vs = np.linspace(v0 + f * dv, v1 - f * dv, nv_)
+    us = np.linspace(u0 + f * du, u1 - f * du, nu_).tolist()
+    vs = np.linspace(v0 + f * dv, v1 - f * dv, nv_).tolist()
     return [
-        (i, j, float(us[i]), float(vs[j]))
+        (i, j, us[i], vs[j])
         for i in range(1, nu_ - 1)
         for j in range(1, nv_ - 1)
     ]

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -114,6 +115,18 @@ def test_config_name_defaults_to_filename(tmp_path):
         'm = 3\nnu = 0\ncoords = ["u", "v", "0"]\ndomain = [0, 1, 0, 1]\n'
     )
     assert load_spec(str(cfg)).name == "myplane"
+
+
+def test_grid_points_hold_the_linspace_floats():
+    spec = dataclasses.replace(CATALOG["torus"], excluded_margins=0.15)
+    u0, u1, v0, v1 = spec.domain
+    du, dv = u1 - u0, v1 - v0
+    us = np.linspace(u0 + 0.15 * du, u1 - 0.15 * du, 7)
+    vs = np.linspace(v0 + 0.15 * dv, v1 - 0.15 * dv, 9)
+    expected = [(i, j, float(us[i]), float(vs[j])) for i in range(1, 6) for j in range(1, 8)]
+    points = grid_points(spec, (7, 9))
+    assert points == expected
+    assert all(type(u) is float and type(v) is float for _, _, u, v in points)
 
 
 def test_config_errors_carry_line_numbers():
@@ -428,6 +441,47 @@ def test_csv_cells_of_ok_and_skipped_rows():
         ",".join([*cells[:2], '"skipped: a, ""b"""', *cells[2:]]),
         "2,3,skipped,,,,,",
     ]
+
+
+def _dumped(table, columns, args, spec):
+    """The JSON table as json.dumps writes it: the oracle of cli._emit's JSON writer."""
+    payload = {
+        "surface": spec.name,
+        "m": spec.m,
+        "nu": spec.nu,
+        "rho": args.rho if args.rho else spec.rho,
+        "points": [
+            {col: x for col, x in zip(columns, row) if x is not None}
+            for row in zip(*(table[col] for col in columns))
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rho", [None, 'expr:1 + "\u00e9\u2202" \\ u'])
+def test_json_rows_match_json_dumps(rho):
+    spec = argparse.Namespace(name='tor"us \u00e9\u03c0', m=3, nu=0, rho="sqrtg\u00e9")
+    args = argparse.Namespace(format="json", rho=rho)
+    columns = cli._columns(3, True)
+    numeric = [col for col in columns if col != "status"]
+    # the first row takes the template; each other ok row holds one cell it must not take
+    base = [[-0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5e300, 3.0][i % 7] for i in range(len(numeric))]
+    specials = [math.nan, math.inf, -math.inf, np.float64(0.1), np.float64(math.nan)]
+    rows = [base] + [[*base[:3], x, *base[4:]] for x in specials]
+    rows += [[1.5, -2.5] + [None] * (len(numeric) - 2)] * 3
+    statuses = ["ok"] * (1 + len(specials)) + [
+        'skipped: at (u, v) = (1.5, -2.5), "quoted" \\ back\nslash \u00e9',
+        "skipped",
+        "skipped: \u2202 vanishes, twice",
+    ]
+    table = dict(zip(numeric, map(list, zip(*rows))))
+    table["status"] = statuses
+    for rows_kept in (slice(None), slice(0, 1), slice(6, 7), slice(0, 0)):
+        part = {key: col[rows_kept] for key, col in table.items()}
+        out = io.StringIO()
+        cli._emit(part, columns, args, spec, out)
+        assert out.getvalue() == _dumped(part, columns, args, spec)
+    assert '"points": []' in out.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -950,6 +1004,36 @@ def run_module(args):
     return run_python(["-m", "pbcurv.cli", *args])
 
 
+def test_main_reuses_one_parser_and_no_flag_leaks():
+    calls = [
+        ["curvature", "torus", "--no-such-flag"],
+        ["curvature", "torus", "--grid", "3x3", "--compare", "--tolerance", "1e-3"],
+        ["curvature", "torus", "--grid", "3x3", "--compare"],
+        ["invariants", "sphere", "--grid", "3x3"],
+        ["curvature", "torus", "--grid", "3x3", "--format", "json"],
+    ]
+
+    def run(args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(args)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        return code, out.getvalue(), err.getvalue()
+
+    fresh = []
+    for args in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(args))
+    parser = cli._parser()
+    assert [run(args) for args in calls] == fresh
+    assert cli._parser() is parser
+    assert fresh[0][0] == 2 and "unrecognized arguments: --no-such-flag" in fresh[0][2]
+    assert [code for code, _, _ in fresh[1:]] == [0, 0, 0, 0]
+    assert json.loads(fresh[4][1])["surface"] == "torus"
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     # `pbcurv curvature torus --grid 60x60 | head -1`: the reader leaves early
     src = str(Path(pbcurv.__file__).resolve().parents[1])
@@ -1354,6 +1438,9 @@ def test_fuzzed_configs_exit_with_a_documented_code(coords, domain, rho, tmp_pat
             assert len(rows) == len(cli._IDENTITY_TOLERANCES)
             assert all(row[-1] == "FAIL" for row in rows if math.isnan(float(row[1]))), rows
             assert any(row[-1] == "FAIL" for row in rows) == (code == 1), rows
+        if "json" in args and code in (0, 1):
+            text = out.getvalue()
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", args
         if args[0] == "curvature" and "json" not in args and code in (0, 1):
             _, rows = parse_csv(out.getvalue())
             for row in rows:

@@ -154,7 +154,7 @@ def _geometric(at: tuple[float, float], exc: GeometricError) -> GeometricError:
 def _load(args) -> tuple[SurfaceSpec, DensityChoice, list]:
     """The surface, the density and the interior grid points a command runs on."""
     spec = load_spec(args.spec)
-    rho = DensityChoice.from_string(args.rho) if args.rho else spec.density()
+    rho = DensityChoice.from_string(args.rho) if args.rho is not None else spec.density()
     points = grid_points(spec, _parse_grid(args.grid))
     if not points:
         raise UsageError("grid has no interior points")
@@ -492,7 +492,7 @@ def _emit(table: dict[str, list], columns: list[str], args, spec: SurfaceSpec, o
     if args.format == "json":
         # the bytes of json.dumps(payload, indent=2) + "\n", payload being
         # the head and a {column: cell} dict per row without its None cells
-        rho = args.rho if args.rho else spec.rho
+        rho = args.rho if args.rho is not None else spec.rho
         head = [("surface", spec.name), ("m", spec.m), ("nu", spec.nu), ("rho", rho)]
         out.write("{\n" + "".join(f"  {_encode(k)}: {_encode(x)},\n" for k, x in head))
         rows = ",\n".join(_json_rows(table, columns))

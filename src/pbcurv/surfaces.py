@@ -9,6 +9,7 @@ comment.  Keys match the SurfaceSpec fields exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -322,13 +323,27 @@ def parse_config(text: str, source: str = "<config>") -> SurfaceSpec:
     )
 
 
+# one parsed, tape-compiled spec per recent (text, path), as re keeps its patterns
+_file_spec = functools.lru_cache(maxsize=64)(parse_config)
+
+
 def load_spec(target: str) -> SurfaceSpec:
-    """Resolve a catalog name or read a config file."""
+    """Resolve a catalog name or read a config file.
+
+    The file is read on every call and parsed once per (path, text) per
+    process; like a catalog entry, the spec returned is shared.
+    """
     if target in CATALOG:
         return CATALOG[target]
     if os.path.exists(target):
-        with open(target, encoding="utf-8") as fh:
-            return parse_config(fh.read(), source=target)
+        try:
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"{target}: cannot read: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{target}: not UTF-8 text: {exc.reason}") from exc
+        return _file_spec(text, source=target)
     raise ConfigError(
         f"{target!r} is neither a catalog surface nor a readable file; "
         f"catalog: {', '.join(sorted(CATALOG))}"

@@ -424,3 +424,37 @@ def test_total_curvature_matches_gauss_bonnet_and_closed_forms():
     # a K with its sign flipped, or off by one part in 1e9, fails the same check
     assert _total_curvature_error("de-sitter", np.negative) > 1e-12
     assert _total_curvature_error("sphere", lambda k: k * (1.0 + 1e-9)) > 1e-12
+
+
+def _minkowski_error(name, plant=lambda h: h, n=32):
+    """|sum of (1 + gbar(x, H)) dA| / (sum of |dA| + |gbar(x, H) dA|), periodic trapezoid rule.
+
+    On a closed surface Delta_g x = 2H, so the integral of (1 + gbar(x, H)) dA
+    vanishes (Minkowski); it pins the factor 1/2 and the sign of H.  H comes
+    from the plain-level columns of cli._records at n x n nodes, x and
+    dA = sqrt|det g| from the coordinates' jets and metric_rows; plant alters
+    H before it is integrated.
+    """
+    spec = load_spec(name)
+    u0, u1, v0, v1 = spec.domain
+    (us, wu), (vs, wv) = _quadrature(u0, u1, True, n), _quadrature(v0, v1, True, n)
+    points = [(i, j, u, v) for i, u in enumerate(us.tolist()) for j, v in enumerate(vs.tolist())]
+    table = cli._records(spec, spec.density(), points, "plain")
+    assert set(table["status"]) == {"ok"}, name
+    h = plant(np.array([table[f"H_full_{i}"] for i in range(1, spec.m + 1)]))
+    x, grads, _, _ = eval_tape(spec.coord_asts.tape, np.array(table["u"]), np.array(table["v"]))
+    _, det_g, _, _ = metric_rows(spec.signature.gbar, grads.transpose(1, 2, 0))
+    da = np.outer(wu, wv).ravel() * np.sqrt(np.abs(det_g))
+    xh = da * (spec.signature.gbar @ (x * h))
+    return abs(da.sum() + xh.sum()) / (da.sum() + np.abs(xh).sum())
+
+
+def test_minkowski_formula_on_closed_surfaces():
+    closed = ("torus", "flat-torus-r4")
+    _verdict(
+        "Minkowski formula through the batched plain level (32x32 nodes)",
+        [(name, _minkowski_error(name), 1e-12) for name in closed],
+    )
+    # an H off by one part in 1e9, twice as large, or with its sign flipped fails the same check
+    for plant in (lambda h: h * (1.0 + 1e-9), lambda h: 2.0 * h, np.negative):
+        assert all(_minkowski_error(name, plant) > 1e-12 for name in closed)

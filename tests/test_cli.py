@@ -76,6 +76,9 @@ def test_load_spec_all_catalog_names():
         assert len(spec.coords) == spec.m
 
 
+_SPHERE_CONFIG = 'm = 3\nnu = 0\ncoords = ["sin(u)*cos(v)", "sin(u)*sin(v)", "cos(u)"]\ndomain = [0.3, 2.8, 0, 6]\n'
+
+
 def test_load_spec_unknown_target():
     with pytest.raises(ConfigError):
         load_spec("no-such-surface")
@@ -859,6 +862,26 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["curvature", "sphere", "--rho", "bogus"], capsys)[0] == 2
     assert run_cli(["curvature", "sphere", "--rho", "expr:u @ v"], capsys)[0] == 2
     assert run_cli(["curvature", "sphere", "--rho", "expr:1e400"], capsys)[0] == 2
+    # an empty --rho names no density; it does not fall back to the surface's own
+    for command in ("curvature", "invariants"):
+        assert run_cli([command, "sphere", "--grid", "3x3", "--rho", ""], capsys) == (
+            2, "", "error: unknown density choice '' (want unit, sqrtg, or expr:<source>)\n"
+        )
+
+
+def test_unreadable_config_exit_two_naming_the_path(tmp_path, capsys):
+    binary = tmp_path / "binary.surface"
+    binary.write_bytes(_SPHERE_CONFIG.encode() + b"# \xff\n")
+    cases = [
+        (str(tmp_path), "cannot read: Is a directory"),
+        (str(binary), "not UTF-8 text: invalid start byte"),
+    ]
+    for target, reason in cases:
+        for command in ("curvature", "invariants"):
+            assert run_cli([command, target], capsys) == (2, "", f"error: {target}: {reason}\n")
+    # and without a traceback from a fresh process
+    proc = run_module(["curvature", str(tmp_path)])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {tmp_path}: cannot read: Is a directory\n")
 
 
 @pytest.mark.parametrize(
@@ -1004,6 +1027,17 @@ def run_module(args):
     return run_python(["-m", "pbcurv.cli", *args])
 
 
+def run_captured(args):
+    """(exit code, stdout, stderr) of one in-process `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_main_reuses_one_parser_and_no_flag_leaks():
     calls = [
         ["curvature", "torus", "--no-such-flag"],
@@ -1012,26 +1046,62 @@ def test_main_reuses_one_parser_and_no_flag_leaks():
         ["invariants", "sphere", "--grid", "3x3"],
         ["curvature", "torus", "--grid", "3x3", "--format", "json"],
     ]
-
-    def run(args):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(args)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-        return code, out.getvalue(), err.getvalue()
-
     fresh = []
     for args in calls:
         cli._parser.cache_clear()
-        fresh.append(run(args))
+        fresh.append(run_captured(args))
     parser = cli._parser()
-    assert [run(args) for args in calls] == fresh
+    assert [run_captured(args) for args in calls] == fresh
     assert cli._parser() is parser
     assert fresh[0][0] == 2 and "unrecognized arguments: --no-such-flag" in fresh[0][2]
     assert [code for code, _, _ in fresh[1:]] == [0, 0, 0, 0]
     assert json.loads(fresh[4][1])["surface"] == "torus"
+
+
+def test_load_spec_parses_each_file_text_once(tmp_path):
+    cfg, twin, broken = tmp_path / "memo.surface", tmp_path / "twin.surface", tmp_path / "broken.surface"
+    cfg.write_text(_SPHERE_CONFIG)
+    first = load_spec(str(cfg))
+    assert load_spec(str(cfg)) is first
+    # an edited file is parsed again, and the old spec keeps its values
+    cfg.write_text(_SPHERE_CONFIG + "grid = [5, 5]\n")
+    edited = load_spec(str(cfg))
+    assert edited is not first
+    assert (edited.grid, first.grid) == ((5, 5), (8, 8))
+    # the default name comes from the path, so equal texts at two paths are two specs
+    twin.write_text(cfg.read_text())
+    assert load_spec(str(twin)) is not edited
+    assert (load_spec(str(twin)).name, load_spec(str(cfg)).name) == ("twin", "memo")
+    # a file that does not parse raises on every call, and is parsed every time
+    broken.write_text(_SPHERE_CONFIG.replace("nu = 0", "nu = 4"))
+    misses = surfaces._file_spec.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(ConfigError, match="nu must lie in"):
+            load_spec(str(broken))
+    assert surfaces._file_spec.cache_info().misses == misses + 3
+
+
+def test_main_on_a_rewritten_config_prints_what_fresh_processes_print(tmp_path):
+    cfg = tmp_path / "rewritten.surface"
+    texts = [
+        _SPHERE_CONFIG,
+        'name = "scaled"\n' + _SPHERE_CONFIG.replace('["sin', '["2*sin').replace(', "cos', ', "2*cos'),
+        _SPHERE_CONFIG + "excluded_margins = 0.1\n",
+        _SPHERE_CONFIG.replace("m = 3", "m = 4"),
+        _SPHERE_CONFIG,
+    ]
+    args = ["curvature", str(cfg), "--grid", "4x4", "--format", "json"]
+    inproc, fresh = [], []
+    for text in texts:
+        cfg.write_text(text)
+        inproc.append(run_captured(args))
+        proc = run_module(args)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert inproc == fresh
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0]
+    names = [json.loads(out)["surface"] for _, out, _ in fresh[:3]]
+    assert names == ["rewritten", "scaled", "rewritten"]
+    assert fresh[1][1] != fresh[0][1] == fresh[4][1] != fresh[2][1]
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

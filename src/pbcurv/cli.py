@@ -71,7 +71,7 @@ from .exprlang import Exprs, eval_tape, parse_expression
 from .surfaces import SurfaceSpec, grid_points, load_spec
 
 # Most floats in one per-point array of a chunk, (N, m, m, m) or the Z
-# projector's (N, C(m, 3), C(m, 3)); this bounds the memory of a grid at any m.
+# rows' (N, C(m, 3), m); this bounds the memory of a grid at any m.
 CHUNK_FLOATS = 2**20
 
 RHO_INDEPENDENCE_DENSITIES = ("unit", "sqrt_abs_g", "expr:1 + 0.3*sin(u)")
@@ -170,15 +170,15 @@ def _kh(table, emb, met):
     return gauss_full_from_table(table, emb, met), mean_full_from_table(table, emb, met)
 
 
-def _identity_rows(sig, P, rv, det_g, ginv, h, S, z, delta, zframe, frame) -> dict:
+def _identity_rows(sig, P, rv, det_g, ginv, h, S, M, delta, zframe, frame) -> dict:
     """The bracket identity residuals of N points, one array (N,) per key.
 
     Keys are the invariants rows from p2_trace to sigma_multiset; the
     --compare columns report a subset of them (_COMPARE_RESIDUALS).  h and
     S are the second fundamental form and the mixed brackets of the
-    classical frame, z is z_rows' output and delta = nu - ind g; zframe
-    and frame are the signs (N, p) and vectors (N, p, m) of the Z frame
-    and of the classical frame.
+    classical frame, M = Z_lower^T Z_upper (N, m, m) and delta = nu - ind g;
+    zframe and frame are the signs (N, p) and vectors (N, p, m) of the Z
+    frame and of the classical frame.
     """
     gb = sig.gbar
     rv2 = rv * rv
@@ -191,7 +191,7 @@ def _identity_rows(sig, P, rv, det_g, ginv, h, S, z, delta, zframe, frame) -> di
     ps = trace_rows(gb, P[:, None], S)
     weingarten = form_traces(ginv, h)
     out["ps_trace"] = np.max(relative(ps - det_g[:, None] * weingarten / rv2[:, None], ps), axis=1)
-    out.update(zmap_rows(sig, z, (-1.0) ** delta, P, rv, det_g))
+    out.update(zmap_rows(sig, M, (-1.0) ** delta, P, rv, det_g))
     proj_c = normal_projector_rows(*frame)
     out["z_projector"] = relative(
         np.abs(normal_projector_rows(*zframe) - proj_c).max(axis=(1, 2)),
@@ -238,7 +238,7 @@ def _record(
         met.ginv[None],
         h[None],
         s_operator(table, emb, ff)[None],
-        (zd.Z_lower[None], zd.Z_upper[None], zd.Zmat[None], zd.weights),
+        (zd.Z_lower.T @ zd.Z_upper)[None],
         np.array([zd.delta]),
         (zframe.sigma[None], zframe.vectors[None]),
         (ff.sigma[None], ff.vectors[None]),
@@ -323,14 +323,15 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
     ginv = inverse_rows(gab, det_g)
     ind_g = index_rows(gab, det_g)
     delta = sig.nu - ind_g
-    z = z_rows(sig, P, rv, det_g, (-1.0) ** delta)
-    frame, zframe, frames_bad = _frame_rows(sig, normal_candidate_rows(sig, e, ginv), z[0])
+    ZL, ZU, _ = z_rows(sig, P, rv, det_g)
+    M = ZL.transpose(0, 2, 1) @ ZU
+    frame, zframe, frames_bad = _frame_rows(sig, normal_candidate_rows(sig, e, ginv), M)
     bad |= frames_bad
     sigma, vectors = frame
     sff = second_fundamental_rows(gb, xdd, vectors)
     frame_grads = weingarten_rows(sff, ginv, e)
     S = s_rows(e, frame_grads, rv)
-    res = _identity_rows(sig, P, rv, det_g, ginv, sff, S, z, delta, zframe, frame)
+    res = _identity_rows(sig, P, rv, det_g, ginv, sff, S, M, delta, zframe, frame)
     if level == "invariants":
         at = np.ldexp(u, p), np.ldexp(v, p)
         values, jet_grads, _, jets_bad = eval_tape(_NORMALISED_EXPRS.tape, *at)
@@ -372,19 +373,17 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
     return cols, bad
 
 
-def _frame_rows(sig, candidates, z_lower):
+def _frame_rows(sig, candidates, M):
     """The classical frame and the Z frame of N points, and the rows where either fails.
 
-    One orthonormal_rows call runs both pools, padded with zero rows
-    (never live) to one size, for codim + 1 rounds: the classical frame
-    keeps its first codim vectors, as classical_normal_frame does, and the
-    Z rows must span exactly codim directions, as normal_frame_from_z
+    One orthonormal_rows call runs both pools of m candidates for codim + 1
+    rounds: the classical frame keeps its first codim vectors, as
+    classical_normal_frame does, and the rows of gbar M (M (N, m, m) as in
+    _identity_rows) must span exactly codim directions, as normal_frame_from_z
     requires.  Returns each frame as (signs (N, p), vectors (N, p, m)).
     """
-    n, codim, m = len(candidates), sig.codim, sig.m
-    pool = np.zeros((2 * n, max(m, z_lower.shape[1]), m))
-    pool[:n, :m] = candidates
-    pool[n:, : z_lower.shape[1]] = z_lower
+    n, codim = len(candidates), sig.codim
+    pool = np.concatenate([candidates, sig.gbar[:, None] * M])
     vectors, signs, count, null, non_finite = orthonormal_rows(
         pool, sig.gbar, codim + 1, null_tol=_NULL_TOLS.repeat(n)
     )
@@ -406,7 +405,7 @@ def _names(prefix: str, m: int) -> tuple[str, ...]:
 
 def _chunk_size(m: int, level: str) -> int:
     """Points per chunk: CHUNK_FLOATS over the largest per-point array of the level."""
-    largest = m**3 if level == "plain" else max(m**3, math.comb(m, 3) ** 2)
+    largest = m**3 if level == "plain" else max(m**3, math.comb(m, 3) * m)
     return max(1, CHUNK_FLOATS // largest)
 
 

@@ -411,17 +411,15 @@ class ZData:
 
     Z_lower[K] is the normal vector attached to the sorted multi-index K
     of length codim-1; Z_upper raises K with its metric sign weights[K].
-    The rows of Z_lower feed the normal frame.  Zmat, the mixed-index
-    projector matrix acting on those multi-indices, feeds only the
-    z_idempotent, z_trace and z_self_adjoint identity rows; delta counts
-    timelike normal directions.
+    Their m x m product M = Z_lower^T Z_upper gives the normal projector
+    Pi = delta_sign M gbar, which feeds the normal frame and the projector
+    identity rows; delta counts timelike normal directions.
     """
 
     indices: list[tuple[int, ...]]
     weights: np.ndarray  # (n,)
     Z_lower: np.ndarray  # (n, m)
     Z_upper: np.ndarray  # (n, m)
-    Zmat: np.ndarray  # (n, n)
     delta: int
     delta_sign: int
 
@@ -448,37 +446,33 @@ def _z_rows(sig: AmbientSignature):
 
 
 def build_z(table: BracketTable, emb: EmbeddingEval, met: InducedMetric) -> ZData:
-    """Build the bracket-only normal vectors and their projector matrix.
+    """Build the bracket-only normal vectors.
 
     Row K, one per sorted multi-index, is eps_{iklK} {x^k, x^l} times
     rho / (2 sqrt|g|): the Hodge dual of the tangent bivector.  The rows
     of all (codim-1)! orderings of K, scaled by 1 / sqrt((codim-1)!),
-    have the same Z_lower^T Z_upper and a projector with the same trace.
-    Zmat is an orthogonal projector of rank codim onto the normal space.
+    have the same M = Z_lower^T Z_upper; delta_sign M gbar is the
+    gbar-orthogonal projector of rank codim onto the normal space.
     """
     sig = emb.sig
     indices = _z_rows(sig)[0]
     delta = sig.nu - met.ind_g
-    delta_sign = (-1) ** delta
     rv, det_g = np.array([table.rho.value]), np.array([met.det_g])
-    ZL, ZU, Zmat, weights = z_rows(sig, table.P[None], rv, det_g, np.array([delta_sign]))
-    return ZData(list(indices), weights, ZL[0], ZU[0], Zmat[0], delta, delta_sign)
+    ZL, ZU, weights = z_rows(sig, table.P[None], rv, det_g)
+    return ZData(list(indices), weights, ZL[0], ZU[0], delta, (-1) ** delta)
 
 
-def z_rows(sig: AmbientSignature, P, rv, det_g, delta_sign):
-    """build_z of N points: Z_lower, Z_upper (N, n, m), Zmat (N, n, n) and weights (n,).
+def z_rows(sig: AmbientSignature, P, rv, det_g):
+    """build_z of N points: Z_lower, Z_upper (N, n, m) and weights (n,).
 
-    n = C(m, 3), weights are the metric signs of the multi-indices, and
-    delta_sign (N,) is (-1)^delta, delta = nu - ind g.
+    n = C(m, 3), and weights are the metric signs of the multi-indices.
     """
     _, weights, z_at, p_at, coef = _z_rows(sig)
     n = len(P)
     ZL = np.zeros((n, len(weights) * sig.m))
     ZL[:, z_at] = (rv / np.sqrt(np.abs(det_g)))[:, None] * (coef * P.reshape(n, -1)[:, p_at])
     ZL = ZL.reshape(n, len(weights), sig.m)
-    ZU = ZL * weights[:, None]
-    Zmat = delta_sign[:, None, None] * np.einsum("nIi,i,nJi->nIJ", ZU, sig.gbar, ZL)
-    return ZL, ZU, Zmat, weights
+    return ZL, ZL * weights[:, None], weights
 
 
 def zmap_invariants(
@@ -487,7 +481,7 @@ def zmap_invariants(
     """Normalized residuals of the projector identities; see zmap_rows."""
     res = zmap_rows(
         emb.sig,
-        (zd.Z_lower[None], zd.Z_upper[None], zd.Zmat[None], zd.weights),
+        (zd.Z_lower.T @ zd.Z_upper)[None],
         np.array([zd.delta_sign]),
         table.P[None],
         np.array([table.rho.value]),
@@ -496,27 +490,28 @@ def zmap_invariants(
     return {key: float(x[0]) for key, x in res.items()}
 
 
-def zmap_rows(sig: AmbientSignature, z, delta_sign, P, rv, det_g) -> dict[str, np.ndarray]:
+def zmap_rows(sig: AmbientSignature, M, delta_sign, P, rv, det_g) -> dict[str, np.ndarray]:
     """The projector identities of N points, one residual (N,) per key.
 
-    z is (Z_lower, Z_upper, Zmat, weights) of z_rows.  Keys:
-    z_idempotent (Zmat^2 = Zmat), z_trace (trace = codim),
-    z_self_adjoint (symmetry under the multi-index metric), z_sum
-    (completeness: the squared bracket matrix recovers the normal block
-    of the inverse ambient metric).  Each residual is divided by
-    max(1, magnitude of the terms involved).
+    M = Z_lower^T Z_upper (N, m, m), delta_sign (N,) is (-1)^(nu - ind g),
+    and Pi = delta_sign M gbar.  Keys: z_idempotent (Pi^2 = Pi), z_trace
+    (trace = codim), z_self_adjoint (gbar Pi symmetric: M is, for any
+    weights, so this fails only on NaN), z_sum (completeness: M recovers
+    the normal block of the inverse ambient metric from the squared
+    bracket matrix).  Each residual is divided by max(1, magnitude of the
+    terms involved).
     """
-    ZL, ZU, Zmat, weights = z
     gb, p = sig.gbar, sig.codim
-    zscale = np.maximum(1.0, _abs_max(Zmat))
-    gz = weights[:, None] * Zmat
+    Pi = delta_sign[:, None, None] * M * gb
+    zscale = np.maximum(1.0, _abs_max(Pi))
+    gp = gb[:, None] * Pi
     p2 = (rv * rv / det_g)[:, None, None] * ((P * gb) @ P)
     rhs = delta_sign[:, None, None] * (np.diag(gb) + p2)
     return {
-        "z_idempotent": _abs_max(Zmat @ Zmat - Zmat) / zscale,
-        "z_trace": np.abs(np.trace(Zmat, axis1=1, axis2=2) - p) / max(1.0, float(p)),
-        "z_self_adjoint": _abs_max(gz - gz.transpose(0, 2, 1)) / zscale,
-        "z_sum": _abs_max(ZL.transpose(0, 2, 1) @ ZU - rhs) / np.maximum(1.0, _abs_max(rhs)),
+        "z_idempotent": _abs_max(Pi @ Pi - Pi) / zscale,
+        "z_trace": np.abs(np.trace(Pi, axis1=1, axis2=2) - p) / max(1.0, float(p)),
+        "z_self_adjoint": _abs_max(gp - gp.transpose(0, 2, 1)) / zscale,
+        "z_sum": _abs_max(M - rhs) / np.maximum(1.0, _abs_max(rhs)),
     }
 
 
@@ -530,18 +525,19 @@ Z_TOL = 1e-8
 
 
 def normal_frame_from_z(zd: ZData, sig: AmbientSignature) -> NormalFrame:
-    """Extract a pseudo-orthonormal normal frame from the bracket rows.
+    """Extract a pseudo-orthonormal normal frame from the bracket projector.
 
-    Every row of Z_lower lies in the normal space and together they span
-    it, so greedy Gram-Schmidt under gbar on those C(m, 3) length-m rows
-    yields the frame and its signs directly; Zmat is not used.  Raises
-    RankDeficiencyError when the rows do not span exactly codim
-    directions at tolerance Z_TOL, or when the frame fails orthonormality
-    (frame_defect_rows) by more than Z_TOL.
+    The m columns of Pi (see ZData) lie in the normal space and span it;
+    as M is symmetric they are delta_sign times the rows of gbar M, so
+    greedy Gram-Schmidt under gbar on those rows yields the frame and its
+    signs directly.  Raises RankDeficiencyError when the rows do not span
+    exactly codim directions at tolerance Z_TOL, or when the frame fails
+    orthonormality (frame_defect_rows) by more than Z_TOL.
     """
     p = sig.codim
+    columns = sig.gbar[:, None] * (zd.Z_lower.T @ zd.Z_upper)
     try:
-        normals, sigma = pivoted_orthonormalize(zd.Z_lower, sig.gbar, sig.m, null_tol=Z_TOL)
+        normals, sigma = pivoted_orthonormalize(columns, sig.gbar, sig.m, null_tol=Z_TOL)
     except _NullPivot as exc:
         raise RankDeficiencyError(
             f"projector image contains only null directions after {exc.args[0]} vectors"

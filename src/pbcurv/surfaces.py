@@ -38,6 +38,7 @@ class SurfaceSpec:
     rho: str = "sqrt_abs_g"
     excluded_margins: float = 0.0
     coord_asts: Exprs = field(init=False)
+    _density: DensityChoice = field(init=False, repr=False)  # rho, parsed once
 
     def __post_init__(self) -> None:
         if self.m != len(self.coords):
@@ -62,7 +63,7 @@ class SurfaceSpec:
         except PbcurvError as exc:
             raise ConfigError(f"bad coordinate expression: {exc}") from exc
         try:
-            DensityChoice.from_string(self.rho)
+            self._density = DensityChoice.from_string(self.rho)
         except PbcurvError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -71,7 +72,7 @@ class SurfaceSpec:
         return AmbientSignature(self.m, self.nu)
 
     def density(self) -> DensityChoice:
-        return DensityChoice.from_string(self.rho)
+        return self._density
 
 
 def grid_points(

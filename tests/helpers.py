@@ -278,6 +278,11 @@ def tangent_projector(emb: EmbeddingEval, met: InducedMetric) -> np.ndarray:
     return np.einsum("ab,ak,bl->kl", met.ginv, emb.e, emb.e)
 
 
+def z_projector(zd, sig: AmbientSignature) -> np.ndarray:
+    """Pi = delta_sign Z_lower^T Z_upper gbar: the bracket normal projector of a ZData on R^m."""
+    return zd.delta_sign * (zd.Z_lower.T @ zd.Z_upper) * sig.gbar
+
+
 def eps_symbol(indices: tuple[int, ...]) -> int:
     """Permutation symbol on len(indices) letters, 1-based entries."""
     m = len(indices)

@@ -500,40 +500,70 @@ def test_json_rows_match_json_dumps(rho):
 )
 def test_frame_rows_flag_the_z_rows_normal_frame_from_z_refuses(z_lower):
     # gbar = (-1, 1, 1) and codim 1; the classical candidates are fine, so
-    # the flag is the Z frame's alone, and it must match the per-point raise
+    # the flag is the Z frame's alone, and it must match the per-point raise.
+    # Both frames pivot over the rows of gbar M, M = Z_lower^T Z_upper.
     sig = poisson.AmbientSignature(3, 1)
     rows = np.array(z_lower)
-    zd = poisson.ZData([(1,)] * len(rows), np.ones(len(rows)), rows, rows, np.eye(len(rows)), 0, 1)
+    zd = poisson.ZData([(1,)] * len(rows), np.ones(len(rows)), rows, rows, 0, 1)
     try:
         poisson.normal_frame_from_z(zd, sig)
         refused = False
     except RankDeficiencyError:
         refused = True
     with np.errstate(all="ignore"):  # as in cli._records: flagged rows hold garbage
-        *_, bad = cli._frame_rows(sig, np.eye(3)[None], rows[None])
+        *_, bad = cli._frame_rows(sig, np.eye(3)[None], (rows.T @ rows)[None])
     assert bad.tolist() == [refused]
     assert refused == (z_lower != [[0.0, 0.0, 1.0]])
 
 
-def test_an_m8_compare_chunk_bounds_its_z_projector(capsys, monkeypatch, tmp_path):
-    # Zmat has C(8, 3)^2 = 3136 floats per point, more than the m^3 = 512 of T
-    cfg = tmp_path / "m8.surface"
-    cfg.write_text(f"m = 8\nnu = 1\ncoords = {json.dumps(M8_COORDS)}\ndomain = [0.4, 2.6, 0.2, 6.0]\n")
+def test_an_m10_compare_chunk_bounds_its_z_rows(capsys, monkeypatch, tmp_path):
+    # Z_lower has C(10, 3) * 10 = 1200 floats per point, more than the m^3 = 1000 of T
+    coords = ["u", "v", *(f"sin({k}*u + {0.3 * k!r}*v) + {0.1 * k!r}*u*v" for k in range(1, 9))]
+    cfg = tmp_path / "m10.surface"
+    cfg.write_text(f"m = 10\nnu = 0\ncoords = {json.dumps(coords)}\ndomain = [0.2, 1.2, 0.3, 1.3]\n")
     sizes = []
     real = cli.z_rows
 
     def recorded(*args):
         out = real(*args)
-        sizes.append(out[2].size)
+        sizes.append(out[0].size)
         return out
 
     monkeypatch.setattr(cli, "z_rows", recorded)
-    for floats in (cli.CHUNK_FLOATS, 3 * 3136 + 3135, 3136):
+    for floats in (cli.CHUNK_FLOATS, 3 * 1200 + 1199, 1200):
         monkeypatch.setattr(cli, "CHUNK_FLOATS", floats)
         del sizes[:]
         assert run_cli(["curvature", str(cfg), "--grid", "6x6", "--compare"], capsys)[0] == 0
-        assert sum(sizes) == 16 * 3136 and max(sizes) <= floats
-    assert sizes == [3136] * 16
+        assert sum(sizes) == 16 * 1200 and max(sizes) <= floats
+    assert sizes == [1200] * 16
+
+
+def _scaled_first_z_row(real):
+    """z_rows with its first row scaled by 1 + 1e-6 in Z_lower and Z_upper."""
+
+    def z_rows(*args):
+        ZL, ZU, weights = real(*args)
+        ZL[:, 0] *= 1.0 + 1e-6
+        ZU[:, 0] *= 1.0 + 1e-6
+        return ZL, ZU, weights
+
+    return z_rows
+
+
+@pytest.mark.parametrize("name", ["torus", "r5-product"])
+def test_invariants_fail_on_a_scaled_z_row(name, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "z_rows", _scaled_first_z_row(cli.z_rows))
+    monkeypatch.setattr(poisson, "z_rows", _scaled_first_z_row(poisson.z_rows))
+    code, out, _ = run_cli(["invariants", name, "--grid", "6x6"], capsys)
+    assert code == 1
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[3:]}
+    failed = {key for key, row in rows.items() if row[-1] == "FAIL"}
+    assert failed == {"z_idempotent", "z_trace", "z_sum"}, out
+    for key in failed:  # the defect's size, far above the 1e-9 tolerance
+        assert float(rows[key][1]) >= 1e-7, out
+    # M = Z_lower^T diag(w) Z_lower is symmetric for any row scale, so
+    # z_self_adjoint reads 0 here; it can fail only on NaN
+    assert float(rows["z_self_adjoint"][1]) == 0.0
 
 
 _CHECK_LEVEL_DENSITIES = [
@@ -1340,6 +1370,23 @@ def test_one_compile_per_tape_owner(tmp_path, capsys, monkeypatch):
     assert [len(exprs) for (exprs,) in compiled] == [3, 1]
     assert (len(batched), len(coords), len(densities)) == (2, 1, 1)
     assert coords[0][0] is batched[0][0] and densities[0][0] is batched[1][0]
+
+
+def test_a_config_density_compiles_on_the_first_request_only(tmp_path, capsys, monkeypatch):
+    # the spec keeps its parsed rho, as it keeps coord_asts, so the density
+    # tape compiles with the coordinates' and never again
+    cfg = tmp_path / "rho.surface"
+    cfg.write_text(
+        'm = 3\nnu = 0\ncoords = ["u", "v", "u*v"]\ndomain = [0.1, 1, 0.1, 1]\n'
+        'rho = "expr:1 + 0.3*sin(u)"\n'
+    )
+    compiled = _count_calls(monkeypatch, exprlang, "compile_tape")
+    counts = []
+    for _ in range(4):
+        before = len(compiled)
+        assert run_cli(["curvature", str(cfg), "--grid", "4x4"], capsys)[0] == 0
+        counts.append(len(compiled) - before)
+    assert counts == [2, 0, 0, 0]
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,7 @@ from helpers import (
     random_embedding,
     rel,
     vec_rel,
+    z_projector,
 )
 
 
@@ -378,24 +379,26 @@ def test_s_operator_trace_identities():
 
 
 def test_z_single_normal_for_m3():
+    # one Z row, the normal itself: Pi = delta_sign w z z^T gbar has trace 1
     for name in ("sphere", "hyperbolic-plane", "de-sitter", "catenoid"):
         spec, emb, met, table = point_setup(name)
         zd = build_z(table, emb, met)
-        assert zd.Zmat.shape == (1, 1)
-        assert zd.Zmat[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert zd.Z_lower.shape == (1, 3)
+        proj = z_projector(zd, spec.signature)
+        assert float(np.trace(proj)) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(proj @ proj - proj).max() <= 1e-12
         assert zd.indices == [()]
 
 
 def test_z_trace_counts_codimension():
-    spec, emb, met, table = point_setup("flat-torus-r4")
-    zd = build_z(table, emb, met)
-    assert zd.Zmat.shape == (4, 4)
-    assert float(np.trace(zd.Zmat)) == pytest.approx(2.0, abs=1e-12)
-
-    spec, emb, met, table = point_setup("r5-product")
-    zd = build_z(table, emb, met)
-    assert zd.Zmat.shape == (10, 10)
-    assert float(np.trace(zd.Zmat)) == pytest.approx(3.0, abs=1e-12)
+    for name, rows, codim in (("flat-torus-r4", 4, 2), ("r5-product", 10, 3)):
+        spec, emb, met, table = point_setup(name)
+        zd = build_z(table, emb, met)
+        assert zd.Z_lower.shape == (rows, spec.m)
+        proj = z_projector(zd, spec.signature)
+        assert proj.shape == (spec.m, spec.m)
+        assert float(np.trace(proj)) == pytest.approx(codim, abs=1e-12)
+        assert np.linalg.matrix_rank(proj) == codim
 
 
 def test_plane_z_points_along_third_axis():

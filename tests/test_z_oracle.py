@@ -7,9 +7,16 @@ eps_{iklJ} with the coordinate-bracket matrix.  Rows of permuted
 multi-indices are +-1 times each other, so both builds share the trace,
 Z_lower^T Z_upper and the normal space their frames span.
 
-normal_frame_from_z orthonormalizes the rows of Z_lower under gbar; its
-oracle orthonormalizes the rows of Zmat under the multi-index metric with
-the looped Gram-Schmidt and contracts the result with Z_upper.
+The production code carries the projector on its m x m core,
+Pi = delta_sign M gbar with M = Z_lower^T Z_upper.  The C(m, 3) x C(m, 3)
+matrix it replaced, Zmat = delta_sign Z_upper gbar Z_lower^T, is built
+here as an oracle: the cyclic products share their trace and their
+nonzero eigenvalues.
+
+normal_frame_from_z orthonormalizes the columns of Pi under gbar.  Its
+oracles are the frames it replaced: the rows of Z_lower under gbar, and
+the rows of Zmat under the multi-index metric with the looped
+Gram-Schmidt, contracted with Z_upper.
 """
 
 import itertools
@@ -26,6 +33,7 @@ from helpers import (
     looped_orthonormalize,
     point_setup,
     random_embedding,
+    z_projector,
 )
 from pbcurv.classical import (
     NormalFrame,
@@ -33,10 +41,12 @@ from pbcurv.classical import (
     evaluate_embedding,
     induced_metric,
     normal_projector,
+    pivoted_orthonormalize,
 )
 from pbcurv.errors import FrameConstructionError
 from pbcurv.exprlang import Exprs, parse_expression
 from pbcurv.poisson import (
+    Z_TOL,
     DensityChoice,
     ZData,
     build_bracket_table,
@@ -74,9 +84,36 @@ def build_z_ordered(table, emb, met) -> ZData:
     gJ = np.array([sig.product_over(J) for J in idxs])
     ZU = ZL * gJ[:, None]
     delta = sig.nu - met.ind_g
-    delta_sign = (-1) ** delta
-    Zmat = delta_sign * np.einsum("Ii,i,Ji->IJ", ZU, gb, ZL)
-    return ZData(idxs, gJ, ZL, ZU, Zmat, delta, delta_sign)
+    return ZData(idxs, gJ, ZL, ZU, delta, (-1) ** delta)
+
+
+def zmat(zd: ZData, sig: AmbientSignature) -> np.ndarray:
+    """The mixed-index projector delta_sign Z_upper gbar Z_lower^T on the multi-indices."""
+    return zd.delta_sign * np.einsum("Ii,i,Ji->IJ", zd.Z_upper, sig.gbar, zd.Z_lower)
+
+
+def assert_core_matches_zmat(zd: ZData, sig: AmbientSignature) -> None:
+    """Zmat = A B and Pi = B A share their trace and their nonzero spectrum.
+
+    Both are projectors of rank codim: codim eigenvalues 1, the rest 0.
+    Neither is symmetric where gbar is indefinite, and their entries reach
+    the hundreds there, so each bound is relative to the larger of them.
+    """
+    big, core = zmat(zd, sig), z_projector(zd, sig)
+    scale = 1e-12 * max(1.0, float(np.abs(big).max()), float(np.abs(core).max()))
+    assert abs(np.trace(big) - np.trace(core)) <= scale
+    p = sig.codim
+    spectra = [np.sort_complex(np.linalg.eigvals(x))[::-1] for x in (big, core)]
+    assert np.abs(spectra[0][:p] - spectra[1][:p]).max() <= scale
+    assert np.abs(spectra[0][p:]).max(initial=0.0) <= scale
+    assert np.abs(spectra[1][p:]).max() <= scale
+
+
+def normal_frame_from_z_lower(zd: ZData, sig: AmbientSignature) -> NormalFrame:
+    """The frame from the C(m, 3) rows of Z_lower, orthonormalized under gbar."""
+    normals, sigma = pivoted_orthonormalize(zd.Z_lower, sig.gbar, sig.m, null_tol=Z_TOL)
+    assert normals.shape[0] == sig.codim
+    return NormalFrame(normals, sigma)
 
 
 def normal_frame_from_zmat(zd: ZData, sig: AmbientSignature) -> NormalFrame:
@@ -85,15 +122,19 @@ def normal_frame_from_zmat(zd: ZData, sig: AmbientSignature) -> NormalFrame:
     Contracting the orthonormal image covectors with the raised normal
     vectors gives the normals; their signs carry the factor delta_sign.
     """
-    vecs, signs = looped_orthonormalize(
-        zd.Zmat, zd.weights, zd.Zmat.shape[0], null_tol=1e-8
-    )
+    big = zmat(zd, sig)
+    vecs, signs = looped_orthonormalize(big, zd.weights, big.shape[0], null_tol=1e-8)
     assert vecs.shape[0] == sig.codim
     normals = vecs @ zd.Z_upper
     sigma = zd.delta_sign * signs
     gram = np.einsum("Ai,i,Bi->AB", normals, sig.gbar, normals)
     assert float(np.abs(gram - np.diag(sigma)).max()) <= 1e-8
-    return NormalFrame(normals, sigma)
+    # One more looped pass under gbar takes out the orthonormality defect
+    # that the multi-index rounds leave: 1.9e-12 at m=8, nu=5, where Zmat's
+    # entries reach 60, which alone would exceed the 1e-12 agreement bound.
+    normals, refined = looped_orthonormalize(normals, sig.gbar, sig.codim, null_tol=1e-8)
+    assert sorted(refined.tolist()) == sorted(sigma.tolist())
+    return NormalFrame(normals, refined)
 
 
 def _scaled(diff: np.ndarray, ref: np.ndarray) -> float:
@@ -105,7 +146,9 @@ def assert_builds_agree(table, emb, met) -> None:
     zs = build_z(table, emb, met)
     zo = build_z_ordered(table, emb, met)
     assert len(zs.indices) == math.comb(sig.m, 3)
-    assert abs(np.trace(zs.Zmat) - np.trace(zo.Zmat)) <= 1e-12
+    assert abs(np.trace(zmat(zs, sig)) - np.trace(zmat(zo, sig))) <= 1e-12
+    assert_core_matches_zmat(zs, sig)
+    assert_core_matches_zmat(zo, sig)
     zz = zo.Z_lower.T @ zo.Z_upper
     assert _scaled(zs.Z_lower.T @ zs.Z_upper - zz, zz) <= 1e-12
     frame_s = normal_frame_from_z(zs, sig)
@@ -114,7 +157,7 @@ def assert_builds_agree(table, emb, met) -> None:
     assert _scaled(normal_projector(sig, frame_s) - proj, proj) <= 1e-12
     assert sorted(frame_s.sigma.tolist()) == sorted(frame_o.sigma.tolist())
     if sig.m <= 4:  # the same rows in the same order
-        assert np.array_equal(zs.Zmat, zo.Zmat)
+        assert np.array_equal(zmat(zs, sig), zmat(zo, sig))
 
 
 def test_multi_indices():
@@ -156,20 +199,22 @@ def test_projector_above_the_cap():
     table = build_bracket_table(emb, DensityChoice.sqrt_abs_g())
     zd = build_z(table, emb, met)
     assert len(zd.indices) == 84
+    assert_core_matches_zmat(zd, sig)
     for key, value in zmap_invariants(zd, table, emb, met).items():
         assert value <= 1e-12, (key, value)
     proj = normal_projector(sig, classical_normal_frame(emb, met))
     assert _scaled(normal_projector(sig, normal_frame_from_z(zd, sig)) - proj, proj) <= 1e-12
 
 
-def assert_frame_matches_zmat_oracle(table, emb, met) -> None:
+def assert_frame_matches_oracles(table, emb, met, z_lower_tol: float = 1e-12) -> None:
     sig = emb.sig
     zd = build_z(table, emb, met)
     frame = normal_frame_from_z(zd, sig)
-    oracle = normal_frame_from_zmat(zd, sig)
-    proj = normal_projector(sig, oracle)
-    assert _scaled(normal_projector(sig, frame) - proj, proj) <= 1e-12
-    assert sorted(frame.sigma.tolist()) == sorted(oracle.sigma.tolist())
+    oracles = (normal_frame_from_zmat(zd, sig), normal_frame_from_z_lower(zd, sig))
+    for oracle, tol in zip(oracles, (1e-12, z_lower_tol)):
+        proj = normal_projector(sig, oracle)
+        assert _scaled(normal_projector(sig, frame) - proj, proj) <= tol
+        assert sorted(frame.sigma.tolist()) == sorted(oracle.sigma.tolist())
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -177,7 +222,7 @@ def test_z_frame_matches_zmat_oracle_on_catalog(name):
     for at in interior_points(CATALOG[name], (5, 5)):
         for rho in ("unit", "sqrt_abs_g"):
             spec, emb, met, table = point_setup(name, at, rho)
-            assert_frame_matches_zmat_oracle(table, emb, met)
+            assert_frame_matches_oracles(table, emb, met)
 
 
 @settings(max_examples=60)
@@ -192,7 +237,10 @@ def test_z_frame_matches_zmat_oracle_on_random_jets(dims, seed, density):
     assume(clear_of_degeneracy(emb))
     met = induced_metric(emb)
     table = build_bracket_table(emb, DensityChoice.from_string(density))
-    assert_frame_matches_zmat_oracle(table, emb, met)
+    # The greedy pivot over the C(m, 3) rows of Z_lower is the less accurate
+    # oracle here: at m=8, nu=6 (seed 43707) its projector is 1.2e-11 from a
+    # long-double evaluation of gbar - e^T g^-1 e, where the frame's is 2e-14.
+    assert_frame_matches_oracles(table, emb, met, z_lower_tol=1e-10)
 
 
 def test_z_frame_rejects_non_finite_rows():

@@ -196,15 +196,18 @@ def index_rows(gab: np.ndarray, det: np.ndarray) -> np.ndarray:
     return (det < 0.0) + 2 * ((det >= 0.0) & (gab[..., 0, 0] <= 0.0))
 
 
-def det_g_rows(gbar: np.ndarray, e: np.ndarray, xdd: np.ndarray):
+def det_g_rows(gbar: np.ndarray, e: np.ndarray, xdd: np.ndarray, gram=None):
     """det g and its parameter gradient per row.
+
+    gram is the rows' (g_ab, det g) where the caller has them (metric_rows),
+    or None to compute them here.
 
     By Jacobi's formula d_c det g = tr(adj g d_c g), and d_c g_ab =
     gbar(d_c e_a, e_b) + gbar(e_a, d_c e_b), so with adj g symmetric
     d_c det g = 2 sum_ai M[a, i] x^i_ac where M = gbar (adj g) e.
     """
     n = len(e)
-    gab, det = _gram_rows(gbar, e)
+    gab, det = _gram_rows(gbar, e) if gram is None else gram
     M = (gab[:, ::-1, ::-1] * _ADJUGATE_SIGNS @ e) * gbar  # (N, 2, m)
     grad = 2.0 * (M.reshape(n, 1, -1) @ xdd.transpose(0, 2, 1, 3).reshape(n, -1, 2))[:, 0]
     return det, grad

@@ -217,7 +217,7 @@ def _record(
     """
     emb = evaluate_embedding(spec.signature, spec.coord_asts, at).normalised()
     met = induced_metric(emb)
-    table = build_bracket_table(emb, rho)
+    table = build_bracket_table(emb, rho, met)
     record: dict[str, object] = {"u": at[0], "v": at[1], "status": "ok"}
     if level != "invariants":
         k_full, h_full = _kh(table, emb, met)
@@ -249,7 +249,7 @@ def _record(
             double_trace_check(table, emb, ff, 0, emb.sig.codim - 1, fa, ha)
             for fa, ha in _DOUBLE_TRACE_ASTS
         ]))
-        tables = [table if d == rho else build_bracket_table(emb, d) for d in _DENSITIES]
+        tables = [table if d == rho else build_bracket_table(emb, d, met) for d in _DENSITIES]
         res["rho_independence"] = float(_kh_spread([_kh(t, emb, met) for t in tables]))
         return {**record, **res, "ind_g": met.ind_g, "sigma": sorted(frame.sigma.tolist())}
     k_oracle, h_oracle = classical_gauss(met, frame, h), classical_mean(met, frame, h)
@@ -257,15 +257,18 @@ def _record(
     record["K_oracle"] = emb.unscale_gauss(k_oracle)
     record.update({f"H_oracle_{i}": x for i, x in enumerate(emb.unscale_mean(h_oracle), 1)})
     record.update({column: res[key] for column, key in _COMPARE_RESIDUALS.items()})
-    kh_alt = _kh(build_bracket_table(emb, _alternative(rho)), emb, met)
+    kh_alt = _kh(build_bracket_table(emb, _alternative(rho), met), emb, met)
     record["res_rho_indep"] = float(_kh_spread([(k_full, h_full), kh_alt]))
     record["oracle_res"] = float(_oracle_res(k_full, h_full, k_oracle, h_oracle))
     return record
 
 
-def _table_rows(d: DensityChoice, sig, e, xdd, p, expr=None):
-    """The bracket_rows of density d for N points, and the rows where d vanishes."""
-    rv, grad, vanishes = density_rows(d, sig.gbar, e, xdd, p, expr)
+def _table_rows(d: DensityChoice, sig, e, xdd, p, gram, expr=None):
+    """The bracket_rows of density d for N points, and the rows where d vanishes.
+
+    gram is the points' (g_ab, det g), which the sqrt_abs_g density reads.
+    """
+    rv, grad, vanishes = density_rows(d, sig.gbar, e, xdd, p, gram, expr)
     return bracket_rows(e, xdd, rv, grad), vanishes
 
 
@@ -296,9 +299,10 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
     """
     sig = spec.signature
     gb, m = sig.gbar, sig.m
-    _, grads, hessians, bad = eval_tape(spec.coord_asts.tape, u, v)
+    grads, hessians, bad = eval_tape(spec.coord_asts.tape, u, v)[1:]
     e = np.ascontiguousarray(grads.transpose(1, 2, 0))  # (N, 2, m)
     xdd = np.ascontiguousarray(hessians.transpose(1, 0, 2, 3))  # (N, m, 2, 2)
+    del grads, hessians  # views of the tape's one buffer, freed once e and xdd copy it
     e, xdd, l, p = normalise_rows(e, xdd)
     gab, det_g, non_finite, singular = metric_rows(gb, e)
     bad |= non_finite | singular
@@ -307,7 +311,8 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
         expr_values, expr_grads, _, expr_bad = eval_tape(rho.expr.tape, u, v)
         expr = (expr_values[0], expr_grads[0])
         bad |= expr_bad
-    table, vanishes = _table_rows(rho, sig, e, xdd, p, expr)
+    gram = gab, det_g
+    table, vanishes = _table_rows(rho, sig, e, xdd, p, gram, expr)
     bad |= vanishes
     P, _, rv, _ = table
     cols = {}
@@ -349,7 +354,7 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
         for d in _DENSITIES:
             d_table = table
             if d != rho:
-                d_table, vanishes = _table_rows(d, sig, e, xdd, p, jets[0])
+                d_table, vanishes = _table_rows(d, sig, e, xdd, p, gram, jets[0])
                 bad |= vanishes
             k_d, h_d, fails = _kh_rows(sig, e, d_table, det_g)
             bad |= fails
@@ -365,7 +370,7 @@ def _chunk(spec: SurfaceSpec, rho: DensityChoice, u, v, level: str):
     cols.update(zip(_names("H_oracle", m), h_oracle_full.T))
     bad |= k_frame_range | k_oracle_range | h_oracle_range
     cols.update({column: res[key] for column, key in _COMPARE_RESIDUALS.items()})
-    alt_table, vanishes = _table_rows(_alternative(rho), sig, e, xdd, p)
+    alt_table, vanishes = _table_rows(_alternative(rho), sig, e, xdd, p, gram)
     k_alt, h_alt, fails = _kh_rows(sig, e, alt_table, det_g)
     bad |= vanishes | fails
     cols["res_rho_indep"] = _kh_spread([(k, h), (k_alt, h_alt)])
@@ -466,44 +471,93 @@ def _cell(value) -> str:
 
 _encode = json.JSONEncoder().encode  # json.dumps' C string encoder, ensure_ascii
 
+# Cells the writers format at once, in whole rows: this bounds the texts they hold
+_BLOCK_CELLS = 2**15
+# Below this many cells, finding the distinct numbers costs more than it saves
+_MEMO_CELLS = 256
 
-def _json_rows(table: dict[str, list], columns: list[str]):
-    """The rows of the JSON points list, as json.dumps(indent=2) writes them.
 
-    An ok row of finite floats goes through one %r template (json's own
-    float.__repr__); any other row goes through the encoder cell by cell,
-    None cells left out.
+def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """fmt % x for each number x of values (rows, cols), an object array of that shape.
+
+    Each distinct number is formatted once.  Numbers are told apart by
+    their float64 bits, so 0.0 and -0.0, and NaNs of different payloads,
+    never share a text.
     """
-    keys = [_encode(col) for col in columns]
-    fields = [_encode("ok") if col == "status" else "%r" for col in columns]
-    template = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fields)) + "\n    }"
-    numeric = zip(*(table[col] for col in columns if col != "status"))
-    for status, cells, row in zip(table["status"], numeric, zip(*(table[col] for col in columns))):
-        # a finite sum of floats has no NaN or inf cell; one that overflows takes the slow path
-        if status == "ok" and {*map(type, cells)} == {float} and math.isfinite(sum(cells)):
-            yield template % cells
-            continue
-        items = [f"      {key}: {_encode(x)}" for key, x in zip(keys, row) if x is not None]
-        yield "    {\n" + ",\n".join(items) + "\n    }"
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([fmt % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return texts[inverse.reshape(values.shape)]
+
+
+def _lines(table: dict[str, list], columns: list[str], template: str, fmt: str, other, finite_only):
+    """The lines of the table's rows, one list per block of rows (_BLOCK_CELLS).
+
+    template holds one %s per column but status; an ok row (with
+    finite_only, an ok row of finite numbers) fills them with the texts of
+    its numbers, any other row is other(row).  A block of fewer than
+    _MEMO_CELLS cells formats its rows through template with fmt in
+    each field; a larger one takes the texts of _texts.
+    """
+    numeric = [col for col in columns if col != "status"]
+    pieces = template.split("%s")
+    numbers = template % ((fmt,) * len(numeric))  # column names hold no %
+    status = table["status"]
+    size = max(1, _BLOCK_CELLS // len(columns))
+    for start in range(0, len(status), size):
+        block = slice(start, start + size)
+        values = np.array([table[col][block] for col in numeric], dtype=float).T  # None reads NaN
+        ok = np.array([s == "ok" for s in status[block]], dtype=bool)
+        if finite_only:
+            ok &= np.isfinite(values).all(axis=1)
+        if values.size < _MEMO_CELLS:
+            lines = list(map(numbers.__mod__, map(tuple, values[ok].tolist())))
+        else:
+            cells = np.empty((np.count_nonzero(ok), len(pieces) + len(numeric)), dtype=object)
+            cells[:, 0::2] = pieces
+            cells[:, 1::2] = _texts(values[ok], fmt)
+            lines = list(map("".join, cells.tolist()))
+        if not ok.all():
+            filled = iter(lines)
+            rows = zip(*(table[col][block] for col in columns))
+            lines = [next(filled) if o else other(row) for o, row in zip(ok.tolist(), rows)]
+        yield lines
 
 
 def _emit(table: dict[str, list], columns: list[str], args, spec: SurfaceSpec, out) -> None:
+    """Write the table as CSV, or as JSON with the bytes of json.dumps(payload, indent=2) + "\n".
+
+    The JSON payload is the head and a {column: cell} dict per row without
+    its None cells.  The numbers of an ok row print as %.17g in CSV and as
+    repr, json's own float.__repr__, in JSON; a skipped row, and a JSON row
+    holding NaN or inf, go through _cell or the encoder cell by cell.
+    """
     if args.format == "json":
-        # the bytes of json.dumps(payload, indent=2) + "\n", payload being
-        # the head and a {column: cell} dict per row without its None cells
         rho = args.rho if args.rho is not None else spec.rho
         head = [("surface", spec.name), ("m", spec.m), ("nu", spec.nu), ("rho", rho)]
         out.write("{\n" + "".join(f"  {_encode(k)}: {_encode(x)},\n" for k, x in head))
-        rows = ",\n".join(_json_rows(table, columns))
-        out.write(f'  "points": [\n{rows}\n  ]\n}}\n' if rows else '  "points": []\n}\n')
+        keys = [_encode(col) for col in columns]
+        fields = [_encode("ok") if col == "status" else "%s" for col in columns]
+        template = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fields))
+        template += "\n    }"
+
+        def other(row):
+            items = [f"      {key}: {_encode(x)}" for key, x in zip(keys, row) if x is not None]
+            return "    {\n" + ",\n".join(items) + "\n    }"
+
+        sep = '  "points": [\n'
+        for lines in _lines(table, columns, template, "%r", other, True):
+            out.write(sep + ",\n".join(lines))
+            sep = ",\n"
+        out.write("\n  ]\n}\n" if sep == ",\n" else '  "points": []\n}\n')
         return
-    rows = zip(*(table[col] for col in columns))
     out.write(",".join(columns) + "\n")
-    ok_row = ",".join("%s" if col == "status" else "%.17g" for col in columns) + "\n"
-    out.writelines(
-        ok_row % row if status == "ok" else ",".join(map(_cell, row)) + "\n"
-        for status, row in zip(table["status"], rows)
-    )
+    template = ",".join("ok" if col == "status" else "%s" for col in columns) + "\n"
+
+    def skipped(row):
+        return ",".join(map(_cell, row)) + "\n"
+
+    for lines in _lines(table, columns, template, "%.17g", skipped, False):
+        out.write("".join(lines))
 
 
 def cmd_curvature(args) -> int:

@@ -295,6 +295,15 @@ class Tape:
     outputs: tuple[int, ...]
     dead: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def constant_jets(self) -> dict[int, Jet2]:
+        """eval_tape's jet (N = 1) of each const slot, built once per tape and never written to."""
+        return {
+            k: Jet2(np.full(1, c), _ZERO_GRAD, _ZERO_HESS)
+            for k, (op, _, c) in enumerate(self.code)
+            if op == "const"
+        }
+
 
 def _decompose(node: Ast) -> tuple[str, tuple[Ast, ...], float]:
     """A node's tape op, its operand subtrees and its constant."""
@@ -387,12 +396,14 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     """Jets of the tape's expressions at the N points (u[n], v[n]).
 
     Returns values (k, N), gradients (k, N, 2) and Hessians (k, N, 2, 2)
-    of the k expressions, and a mask of the rows where eval_jet could
-    raise: a node outside its domain (jets.outside) or with a non-finite
-    value, gradient or Hessian.  Values in those rows are meaningless.
+    of the k expressions, views of one buffer, and a mask of the rows
+    where eval_jet could raise: a node outside its domain (jets.outside)
+    or with a non-finite value, gradient or Hessian.  Values in those rows
+    are meaningless.
     Each node applies jets.rule with numpy where eval_jet applies it with
     math, so + - * and negation give eval_jet's bits; the functions and
-    powers may differ from math in the last place.
+    powers may differ from math in the last place.  sin and cos of one
+    operand share one evaluation of both.
 
     Values and derivatives are checked at the outputs: every node feeds
     an output, and every rule multiplies or adds its operands' values and
@@ -404,33 +415,41 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     n = len(u)
     bad = np.zeros(n, dtype=bool)
     slots: list = [None] * len(tape.code)
+    constants = tape.constant_jets
+    trig: dict[int, tuple] = {}  # operand slot -> its sin and cos values
     with np.errstate(all="ignore"):  # out-of-domain rows are flagged, not warned about
         for k, (op, args, c) in enumerate(tape.code):
-            a, b = [slots[arg] for arg in args] + [None] * (2 - len(args))
+            a = slots[args[0]] if args else None
+            b = slots[args[1]] if len(args) == 2 else None
             if op == "const":
-                jet = Jet2(np.full(1, c), _ZERO_GRAD, _ZERO_HESS)
+                jet = constants[k]
             elif op in _SEEDS:
                 jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
+            elif op in ("sin", "cos"):
+                if args[0] not in trig:
+                    trig[args[0]] = np.sin(a.value), np.cos(a.value)
+                jet = jets.trig(op, a, *trig[args[0]])
             else:
                 if op in _SATURATING or (op == "pow" and c <= 0.0):
                     bad |= ~np.isfinite((b if op == "/" else a).value)
                 jet = jets.rule(op, a, b, c, np)
-                outside = jets.outside(op, a, b, c)
-                if outside is not False:
-                    bad |= outside
+                if op in jets.RESTRICTED:
+                    bad |= jets.outside(op, a, b, c)
             slots[k] = jet
             for slot in tape.dead[k]:
                 slots[slot] = None
-    outs = [slots[k] for k in tape.outputs]
-    values, grads, hessians = (np.empty((len(outs), n, *shape)) for shape in ((), (2,), (2, 2)))
-    for out, jet in enumerate(outs):  # assignment broadcasts a constant over the rows
-        values[out] = jet.value
-        grads[out] = jet.grad.T
-        hessians[out] = jet.hess.transpose(2, 0, 1)
-    finite = _all(np.isfinite(values), axis=0)
-    finite &= _all(np.isfinite(grads.reshape(len(outs), n, -1)), axis=(0, 2))
-    finite &= _all(np.isfinite(hessians.reshape(len(outs), n, -1)), axis=(0, 2))
-    return values, grads, hessians, bad | ~finite
+    # values, then the gradient, then the Hessian of each output: one
+    # buffer and one finiteness pass; assignment broadcasts a constant over the rows
+    buf = np.empty((7, len(tape.outputs), n))
+    for out, k in enumerate(tape.outputs):
+        jet = slots[k]
+        buf[0, out] = jet.value
+        buf[1:3, out] = jet.grad
+        buf[3:, out] = jet.hess.reshape(4, -1)
+    finite = _all(np.isfinite(buf).reshape(-1, n), axis=0)
+    grads = buf[1:3].transpose(1, 2, 0)
+    hessians = buf[3:].reshape(2, 2, -1, n).transpose(2, 3, 0, 1)
+    return buf[0], grads, hessians, bad | ~finite
 
 
 _all = np.logical_and.reduce

@@ -151,8 +151,7 @@ def rule(op: str, a: Jet2, b: Jet2 | None, c: float, lib) -> Jet2:
         return Jet2(-a.value, -a.grad, -a.hess)
     x = a.value
     if op in ("sin", "cos"):
-        s, co = lib.sin(x), lib.cos(x)
-        return chain(a, s, co, -s) if op == "sin" else chain(a, co, -s, -co)
+        return trig(op, a, lib.sin(x), lib.cos(x))
     if op == "tan":
         t = lib.tan(x)
         sec2 = 1.0 + t * t
@@ -175,6 +174,15 @@ def rule(op: str, a: Jet2, b: Jet2 | None, c: float, lib) -> Jet2:
         d1 = 0.5 / root
         return chain(a, root, d1, -0.5 * d1 / x)  # not root * x: that is 0 below x = 1e-216
     raise ValueError(f"unknown op {op!r}")
+
+
+def trig(op: str, a: Jet2, s, co) -> Jet2:
+    """sin(a) or cos(a), from s = sin(a.value) and co = cos(a.value)."""
+    return chain(a, s, co, -s) if op == "sin" else chain(a, co, -s, -co)
+
+
+# The ops with a restricted domain: outside() is False for every other op
+RESTRICTED = ("/", "ln", "sqrt", "pow")
 
 
 def outside(op: str, a: Jet2, b: Jet2 | None, c: float):

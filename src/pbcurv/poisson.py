@@ -95,29 +95,35 @@ class DensityChoice:
         )
 
 
-def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
+def density_jet(
+    choice: DensityChoice, emb: EmbeddingEval, met: InducedMetric | None = None
+) -> Jet1:
     """Evaluate the density with its gradient in emb's parameters.
 
     An expression is evaluated at emb.at, and its gradient times 2^-p, or
-    with choice.normalised at 2^p emb.at (see density_rows).
+    with choice.normalised at 2^p emb.at (see density_rows).  met is emb's
+    induced metric where the caller has it; sqrt_abs_g reads its g_ab and
+    det g instead of computing them again.
     """
     expr = None
     if choice.kind == "expression":
         assert choice.expr is not None
         (jet,) = eval_jet(choice.expr.tape, normalised_at(emb) if choice.normalised else emb.at)
         expr = (np.array([jet.value]), jet.grad[None])
+    gram = None if met is None else (met.gab[None], np.array([met.det_g]))
     value, grad, vanishes = density_rows(
-        choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), expr
+        choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), gram, expr
     )
     if vanishes[0]:
         raise ZeroDensityError(f"density {choice.source!r} vanishes")
     return Jet1(float(value[0]), grad[0])
 
 
-def density_rows(choice: DensityChoice, gbar, e, xdd, p, expr=None):
+def density_rows(choice: DensityChoice, gbar, e, xdd, p, gram, expr=None):
     """density_jet for N points: rho (N,), its gradient (N, 2), and the rows where it vanishes.
 
-    e, xdd and p are the points' normalised jets and exponents; expr is the
+    e, xdd and p are the points' normalised jets and exponents, and gram
+    their (g_ab, det g), or None to compute them here; expr is the
     expression's value (N,) and gradient (N, 2) at the original (u, v), or
     with choice.normalised at 2^p (u, v), where the gradient is already
     one in the normalised parameters.
@@ -126,7 +132,7 @@ def density_rows(choice: DensityChoice, gbar, e, xdd, p, expr=None):
     if choice.kind == "unit":
         return np.ones(n), np.zeros((n, 2)), np.zeros(n, dtype=bool)
     if choice.kind == "sqrt_abs_g":
-        value, grad = det_g_rows(gbar, e, xdd)
+        value, grad = det_g_rows(gbar, e, xdd, gram)
         root, root_grad = sqrt_abs_rows(value, grad)
         return root, root_grad, np.abs(value) <= DENOM_FLOOR
     value, grad = expr
@@ -181,12 +187,15 @@ class BracketTable:
     T: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
-def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
+def build_bracket_table(
+    emb: EmbeddingEval, rho_choice: DensityChoice, met: InducedMetric | None = None
+) -> BracketTable:
     """Every bracket {x^i, x^j} at once; see bracket_rows.
 
-    The brackets are formed at the scale of emb, as given.
+    The brackets are formed at the scale of emb, as given; met is emb's
+    induced metric where the caller has it (density_jet).
     """
-    rho = density_jet(rho_choice, emb)  # raises where rho vanishes
+    rho = density_jet(rho_choice, emb, met)  # raises where rho vanishes
     P, Pgrad, rv, rho_grad = bracket_rows(
         emb.e[None], emb.xdd[None], np.array([rho.value]), rho.grad[None]
     )
@@ -676,7 +685,7 @@ def _unit_table(emb: EmbeddingEval, rho_choice: DensityChoice):
     if hit is None:
         unit = emb.normalised()
         met = induced_metric(unit)
-        hit = emb.unit_tables[rho_choice] = (unit, met, build_bracket_table(unit, rho_choice))
+        hit = emb.unit_tables[rho_choice] = (unit, met, build_bracket_table(unit, rho_choice, met))
     return hit
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,50 @@ from pbcurv.tensor import (
     eps_contract_naive,
     permutation_sign,
 )
+
+
+# --- The per-row writers: the oracle of cli._emit -----------------------------
+
+_encode = json.JSONEncoder().encode
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return '"' + value.replace('"', '""') + '"' if "," in value else value
+    return format(float(value), ".17g")
+
+
+def _json_rows(table: dict[str, list], columns: list[str]):
+    """The rows of the JSON points list: an ok row of finite floats through one %r
+    template (json's own float.__repr__), any other row through the encoder cell by cell."""
+    keys = [_encode(col) for col in columns]
+    fields = [_encode("ok") if col == "status" else "%r" for col in columns]
+    template = "    {\n" + ",\n".join(f"      {k}: {f}" for k, f in zip(keys, fields)) + "\n    }"
+    numeric = zip(*(table[col] for col in columns if col != "status"))
+    for status, cells, row in zip(table["status"], numeric, zip(*(table[col] for col in columns))):
+        if status == "ok" and {*map(type, cells)} == {float} and math.isfinite(sum(cells)):
+            yield template % cells
+            continue
+        items = [f"      {key}: {_encode(x)}" for key, x in zip(keys, row) if x is not None]
+        yield "    {\n" + ",\n".join(items) + "\n    }"
+
+
+def emit_rows(table: dict[str, list], columns: list[str], args, spec, out) -> None:
+    """cli._emit row by row: the CSV table through one %.17g template per ok row and
+    _csv_cell per skipped cell, the JSON one as json.dumps(payload, indent=2) + "\n"."""
+    if args.format == "json":
+        rho = args.rho if args.rho is not None else spec.rho
+        head = [("surface", spec.name), ("m", spec.m), ("nu", spec.nu), ("rho", rho)]
+        out.write("{\n" + "".join(f"  {_encode(k)}: {_encode(x)},\n" for k, x in head))
+        rows = ",\n".join(_json_rows(table, columns))
+        out.write(f'  "points": [\n{rows}\n  ]\n}}\n' if rows else '  "points": []\n}\n')
+        return
+    out.write(",".join(columns) + "\n")
+    ok_row = ",".join("%s" if col == "status" else "%.17g" for col in columns) + "\n"
+    for status, row in zip(table["status"], zip(*(table[col] for col in columns))):
+        out.write(ok_row % row if status == "ok" else ",".join(map(_csv_cell, row)) + "\n")
 
 
 def rel(a: float, b: float) -> float:

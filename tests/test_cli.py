@@ -10,6 +10,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pbcurv.exprlang import MAX_DEPTH
 from pbcurv.jets import FUNCTIONS
 from pbcurv.surfaces import CATALOG, grid_points, load_spec, parse_config
 
-from helpers import arc_sphere, error_scales, natural_sphere
+from helpers import arc_sphere, emit_rows, error_scales, natural_sphere
 
 
 def run_cli(args, capsys):
@@ -423,7 +424,8 @@ def test_skipped_rows_do_not_depend_on_the_chunk_size(fmt, compare, tmp_path, ca
     assert err == f"geometric error: at (u, v) = (-0.6666666666666667, 0.2): {message}\n"
 
 
-def test_csv_cells_of_ok_and_skipped_rows():
+def test_csv_cells_of_ok_and_skipped_rows(monkeypatch):
+    monkeypatch.setattr(cli, "_MEMO_CELLS", 0)  # the ok rows' numbers go through the memo
     assert cli._cell(None) == ""
     assert cli._cell("skipped: no comma") == "skipped: no comma"
     assert cli._cell('skipped: at (u, v), "x"') == '"skipped: at (u, v), ""x"""'
@@ -432,9 +434,10 @@ def test_csv_cells_of_ok_and_skipped_rows():
     # same numbers give the bytes of format(x, ".17g") either way
     columns = cli._columns(4, False)
     values = [-0.0, math.inf, math.nan, -math.inf, 0.1, 5e-324, -1.25e300]
-    table = {key: [x, x, None] for key, x in zip([c for c in columns if c != "status"], values)}
+    table = {key: [x, x, None, x] for key, x in zip([c for c in columns if c != "status"], values)}
     table["u"][2], table["v"][2] = 2.0, 3.0
-    table["status"] = ["ok", 'skipped: a, "b"', "skipped"]
+    table["u"][3] = 0.0  # u holds both zeros over the ok rows, and each keeps its own text
+    table["status"] = ["ok", 'skipped: a, "b"', "skipped", "ok"]
     out = io.StringIO()
     cli._emit(table, columns, argparse.Namespace(format="csv", rho=None), None, out)
     cells = [format(float(x), ".17g") for x in values]
@@ -443,6 +446,7 @@ def test_csv_cells_of_ok_and_skipped_rows():
         ",".join([*cells[:2], "ok", *cells[2:]]),
         ",".join([*cells[:2], '"skipped: a, ""b"""', *cells[2:]]),
         "2,3,skipped,,,,,",
+        ",".join(["0", cells[1], "ok", *cells[2:]]),
     ]
 
 
@@ -485,6 +489,77 @@ def test_json_rows_match_json_dumps(rho):
         cli._emit(part, columns, args, spec, out)
         assert out.getvalue() == _dumped(part, columns, args, spec)
     assert '"points": []' in out.getvalue()
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# numbers whose texts a memo keyed on values rather than bits would mix up
+_WRITER_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, _nan(0xFFF8000000000000),
+                    _nan(0x7FF8000000000001), _nan(0x7FF0000000000001), 5e-324, 1e16, 0.1]
+_WRITER_STATUSES = ["skipped", 'skipped: at (u, v) = (1.5, -2.5), "a, b" \\ \u00e9', "skipped: x, y"]
+
+
+@st.composite
+def _writer_tables(draw):
+    """A table as _records holds it: ok rows of float or np.float64 cells drawn from a
+    small pool, so that numbers repeat within and across columns, and skipped rows."""
+    columns = cli._columns(draw(st.integers(3, 4)), draw(st.booleans()))
+    numeric = [col for col in columns if col != "status"]
+    pool = draw(st.lists(st.one_of(st.floats(), st.sampled_from(_WRITER_SPECIALS)), min_size=1, max_size=8))
+    number = st.sampled_from(pool).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+    rows, statuses = [], []
+    for _ in range(draw(st.integers(0, 9))):
+        status = draw(st.sampled_from(["ok", "ok", *_WRITER_STATUSES]))
+        cells = [draw(number) for _ in numeric] if status == "ok" else [draw(number), draw(number)]
+        rows.append(cells + [None] * (len(numeric) - len(cells)))
+        statuses.append(status)
+    table = {col: [row[i] for row in rows] for i, col in enumerate(numeric)}
+    table["status"] = statuses
+    return table, columns
+
+
+@settings(max_examples=300)
+@given(
+    _writer_tables(),
+    st.sampled_from(["csv", "json"]),
+    st.integers(1, 4),
+    st.sampled_from([0, 0, 30, cli._MEMO_CELLS]),
+)
+def test_writers_give_the_row_oracle_bytes(drawn, fmt, block, memo_cells):
+    # blocks of 1 to 4 rows put tables of 0 to 9 rows across block boundaries;
+    # with memo_cells 0 every block goes through the memo, with 30 some do
+    table, columns = drawn
+    spec = argparse.Namespace(name="t\u00e9", m=3, nu=0, rho="sqrtg")
+    args = argparse.Namespace(format=fmt, rho=None)
+    out, expected = io.StringIO(), io.StringIO()
+    with mock.patch.multiple(cli, _BLOCK_CELLS=block * len(columns), _MEMO_CELLS=memo_cells):
+        cli._emit(table, columns, args, spec, out)
+    emit_rows(table, columns, args, spec, expected)
+    assert out.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("surface", ["bulk-torus", "sphere", "plane"])
+def test_writers_give_the_row_oracle_bytes_on_repeating_tables(surface, tmp_path, capsys):
+    # on a 34x34 grid u and v take 32 values each, the curvatures of these
+    # symmetric surfaces repeat, and the plane's --compare cells hold both zeros
+    name = surface
+    if surface == "bulk-torus":
+        name = str(tmp_path / "torus.conf")
+        Path(name).write_text(BULK_TORUS)
+    spec = load_spec(name)
+    points = grid_points(spec, (34, 34))
+    for level in ("plain", "compare"):
+        table = cli._records(spec, spec.density(), points, level)
+        columns = cli._columns(spec.m, level == "compare")
+        for fmt in ("csv", "json"):
+            expected = io.StringIO()
+            emit_rows(table, columns, argparse.Namespace(format=fmt, rho=None), spec, expected)
+            argv = ["curvature", name, "--grid", "34x34", "--format", fmt] + ["--compare"] * (level == "compare")
+            code, out, err = run_cli(argv, capsys)
+            assert (code, err) == (0, "")
+            assert out == expected.getvalue(), (level, fmt)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -225,12 +225,19 @@ def test_z_frame_matches_zmat_oracle_on_catalog(name):
             assert_frame_matches_oracles(table, emb, met)
 
 
+_RANDOM_JET_DENSITIES = ("unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)")
+
+
 @settings(max_examples=60)
 @given(
     dims=st.integers(3, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
     seed=st.integers(0, 2**32 - 1),
-    density=st.sampled_from(["unit", "sqrtg", "expr:1.7 + sin(1.3*u - v)"]),
+    density=st.sampled_from(_RANDOM_JET_DENSITIES),
 )
+# the hard case named below, drawn whatever examples the test's source hashes to
+@example(dims=(8, 6), seed=43707, density=_RANDOM_JET_DENSITIES[0])
+@example(dims=(8, 6), seed=43707, density=_RANDOM_JET_DENSITIES[1])
+@example(dims=(8, 6), seed=43707, density=_RANDOM_JET_DENSITIES[2])
 def test_z_frame_matches_zmat_oracle_on_random_jets(dims, seed, density):
     m, nu = dims
     emb = random_embedding(m, nu, seed)

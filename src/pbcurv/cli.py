@@ -217,7 +217,7 @@ def _record(
     """
     emb = evaluate_embedding(spec.signature, spec.coord_asts, at).normalised()
     met = induced_metric(emb)
-    table = build_bracket_table(emb, rho, met)
+    table = build_bracket_table(emb, rho)
     record: dict[str, object] = {"u": at[0], "v": at[1], "status": "ok"}
     if level != "invariants":
         k_full, h_full = _kh(table, emb, met)
@@ -249,7 +249,7 @@ def _record(
             double_trace_check(table, emb, ff, 0, emb.sig.codim - 1, fa, ha)
             for fa, ha in _DOUBLE_TRACE_ASTS
         ]))
-        tables = [table if d == rho else build_bracket_table(emb, d, met) for d in _DENSITIES]
+        tables = [table if d == rho else build_bracket_table(emb, d) for d in _DENSITIES]
         res["rho_independence"] = float(_kh_spread([_kh(t, emb, met) for t in tables]))
         return {**record, **res, "ind_g": met.ind_g, "sigma": sorted(frame.sigma.tolist())}
     k_oracle, h_oracle = classical_gauss(met, frame, h), classical_mean(met, frame, h)
@@ -257,7 +257,7 @@ def _record(
     record["K_oracle"] = emb.unscale_gauss(k_oracle)
     record.update({f"H_oracle_{i}": x for i, x in enumerate(emb.unscale_mean(h_oracle), 1)})
     record.update({column: res[key] for column, key in _COMPARE_RESIDUALS.items()})
-    kh_alt = _kh(build_bracket_table(emb, _alternative(rho), met), emb, met)
+    kh_alt = _kh(build_bracket_table(emb, _alternative(rho)), emb, met)
     record["res_rho_indep"] = float(_kh_spread([(k_full, h_full), kh_alt]))
     record["oracle_res"] = float(_oracle_res(k_full, h_full, k_oracle, h_oracle))
     return record
@@ -473,7 +473,8 @@ _encode = json.JSONEncoder().encode  # json.dumps' C string encoder, ensure_asci
 
 # Cells the writers format at once, in whole rows: this bounds the texts they hold
 _BLOCK_CELLS = 2**15
-# Below this many cells, finding the distinct numbers costs more than it saves
+# Numbers in a table below which finding their repeats costs more than it
+# saves: the memo loses on the 25- and 40-number tables of check-m7 and bulk-m7
 _MEMO_CELLS = 256
 
 
@@ -493,15 +494,24 @@ def _lines(table: dict[str, list], columns: list[str], template: str, fmt: str, 
     """The lines of the table's rows, one list per block of rows (_BLOCK_CELLS).
 
     template holds one %s per column but status; an ok row (with
-    finite_only, an ok row of finite numbers) fills them with the texts of
-    its numbers, any other row is other(row).  A block of fewer than
-    _MEMO_CELLS cells formats its rows through template with fmt in
-    each field; a larger one takes the texts of _texts.
+    finite_only, an ok row of finite numbers) fills them with the texts
+    _texts gives its numbers in fmt, any other row is other(row).  A
+    table of fewer than _MEMO_CELLS numbers is one block whose ok rows
+    fill template with fmt in each field.
     """
     numeric = [col for col in columns if col != "status"]
-    pieces = template.split("%s")
-    numbers = template % ((fmt,) * len(numeric))  # column names hold no %
     status = table["status"]
+    if status and len(status) * len(numeric) < _MEMO_CELLS:
+        numbers = template % ((fmt,) * len(numeric))  # column names hold no %
+        rows = zip(status, zip(*(table[col] for col in numeric)), zip(*(table[col] for col in columns)))
+        yield [
+            numbers % tuple(map(float, cells))  # float(): an np.float64 takes float's repr
+            if s == "ok" and (not finite_only or all(map(math.isfinite, cells)))
+            else other(row)
+            for s, cells, row in rows
+        ]
+        return
+    pieces = template.split("%s")  # column names hold no %
     size = max(1, _BLOCK_CELLS // len(columns))
     for start in range(0, len(status), size):
         block = slice(start, start + size)
@@ -509,13 +519,10 @@ def _lines(table: dict[str, list], columns: list[str], template: str, fmt: str, 
         ok = np.array([s == "ok" for s in status[block]], dtype=bool)
         if finite_only:
             ok &= np.isfinite(values).all(axis=1)
-        if values.size < _MEMO_CELLS:
-            lines = list(map(numbers.__mod__, map(tuple, values[ok].tolist())))
-        else:
-            cells = np.empty((np.count_nonzero(ok), len(pieces) + len(numeric)), dtype=object)
-            cells[:, 0::2] = pieces
-            cells[:, 1::2] = _texts(values[ok], fmt)
-            lines = list(map("".join, cells.tolist()))
+        cells = np.empty((np.count_nonzero(ok), len(pieces) + len(numeric)), dtype=object)
+        cells[:, 0::2] = pieces
+        cells[:, 1::2] = _texts(values[ok], fmt)
+        lines = list(map("".join, cells.tolist()))
         if not ok.all():
             filled = iter(lines)
             rows = zip(*(table[col][block] for col in columns))

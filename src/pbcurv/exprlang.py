@@ -304,6 +304,12 @@ class Tape:
             if op == "const"
         }
 
+    @cached_property
+    def trig_pairs(self) -> frozenset[int]:
+        """The operand slots the tape takes both sin and cos of."""
+        ops = {(op, args) for op, args, _ in self.code}
+        return frozenset(args[0] for op, args in ops if op == "sin" and ("cos", args) in ops)
+
 
 def _decompose(node: Ast) -> tuple[str, tuple[Ast, ...], float]:
     """A node's tape op, its operand subtrees and its constant."""
@@ -402,8 +408,9 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     are meaningless.
     Each node applies jets.rule with numpy where eval_jet applies it with
     math, so + - * and negation give eval_jet's bits; the functions and
-    powers may differ from math in the last place.  sin and cos of one
-    operand share one evaluation of both.
+    powers may differ from math in the last place.  Where the tape takes
+    both sin and cos of one operand (trig_pairs), they share one
+    evaluation of both.
 
     Values and derivatives are checked at the outputs: every node feeds
     an output, and every rule multiplies or adds its operands' values and
@@ -415,8 +422,8 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
     n = len(u)
     bad = np.zeros(n, dtype=bool)
     slots: list = [None] * len(tape.code)
-    constants = tape.constant_jets
-    trig: dict[int, tuple] = {}  # operand slot -> its sin and cos values
+    constants, pairs = tape.constant_jets, tape.trig_pairs
+    trig: dict[int, tuple] = {}  # operand slot of pairs -> its sin and cos values, until both are used
     with np.errstate(all="ignore"):  # out-of-domain rows are flagged, not warned about
         for k, (op, args, c) in enumerate(tape.code):
             a = slots[args[0]] if args else None
@@ -425,10 +432,13 @@ def eval_tape(tape: Tape, u: np.ndarray, v: np.ndarray):
                 jet = constants[k]
             elif op in _SEEDS:
                 jet = Jet2(np.asarray(u if op == "u" else v, dtype=float), _SEEDS[op], _ZERO_HESS)
-            elif op in ("sin", "cos"):
-                if args[0] not in trig:
-                    trig[args[0]] = np.sin(a.value), np.cos(a.value)
-                jet = jets.trig(op, a, *trig[args[0]])
+            elif op in ("sin", "cos") and args[0] in pairs:
+                # the first of the pair evaluates both, the second takes them
+                if args[0] in trig:
+                    s, co = trig.pop(args[0])
+                else:
+                    s, co = trig[args[0]] = np.sin(a.value), np.cos(a.value)
+                jet = jets.trig(op, a, s, co)
             else:
                 if op in _SATURATING or (op == "pow" and c <= 0.0):
                     bad |= ~np.isfinite((b if op == "/" else a).value)

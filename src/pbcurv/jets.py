@@ -181,7 +181,7 @@ def trig(op: str, a: Jet2, s, co) -> Jet2:
     return chain(a, s, co, -s) if op == "sin" else chain(a, co, -s, -co)
 
 
-# The ops with a restricted domain: outside() is False for every other op
+# The ops with a restricted domain, the only ones outside() tests
 RESTRICTED = ("/", "ln", "sqrt", "pow")
 
 
@@ -190,12 +190,14 @@ def outside(op: str, a: Jet2, b: Jet2 | None, c: float):
 
     A quotient needs a denominator b above DENOM_FLOOR in magnitude.
     Integer powers accept any base a, nonzero for negative exponents c;
-    fractional powers, ln and sqrt need a positive one; every other op
-    accepts any operand.
+    fractional powers, ln and sqrt need a positive one; every op not in
+    RESTRICTED accepts any operand.
     """
+    if op not in RESTRICTED:
+        return False
     if op == "/":
         return abs(b.value) <= DENOM_FLOOR
     x = a.value
     if op == "pow" and c.is_integer():
         return (x == 0.0) & (c < 0.0)
-    return x <= 0.0 if op in ("ln", "sqrt", "pow") else False
+    return x <= 0.0

@@ -95,24 +95,19 @@ class DensityChoice:
         )
 
 
-def density_jet(
-    choice: DensityChoice, emb: EmbeddingEval, met: InducedMetric | None = None
-) -> Jet1:
+def density_jet(choice: DensityChoice, emb: EmbeddingEval) -> Jet1:
     """Evaluate the density with its gradient in emb's parameters.
 
     An expression is evaluated at emb.at, and its gradient times 2^-p, or
-    with choice.normalised at 2^p emb.at (see density_rows).  met is emb's
-    induced metric where the caller has it; sqrt_abs_g reads its g_ab and
-    det g instead of computing them again.
+    with choice.normalised at 2^p emb.at (see density_rows).
     """
     expr = None
     if choice.kind == "expression":
         assert choice.expr is not None
         (jet,) = eval_jet(choice.expr.tape, normalised_at(emb) if choice.normalised else emb.at)
         expr = (np.array([jet.value]), jet.grad[None])
-    gram = None if met is None else (met.gab[None], np.array([met.det_g]))
     value, grad, vanishes = density_rows(
-        choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), gram, expr
+        choice, emb.sig.gbar, emb.e[None], emb.xdd[None], np.array([emb.p]), None, expr
     )
     if vanishes[0]:
         raise ZeroDensityError(f"density {choice.source!r} vanishes")
@@ -187,15 +182,12 @@ class BracketTable:
     T: np.ndarray | None = field(default=None, init=False, repr=False)
 
 
-def build_bracket_table(
-    emb: EmbeddingEval, rho_choice: DensityChoice, met: InducedMetric | None = None
-) -> BracketTable:
+def build_bracket_table(emb: EmbeddingEval, rho_choice: DensityChoice) -> BracketTable:
     """Every bracket {x^i, x^j} at once; see bracket_rows.
 
-    The brackets are formed at the scale of emb, as given; met is emb's
-    induced metric where the caller has it (density_jet).
+    The brackets are formed at the scale of emb, as given.
     """
-    rho = density_jet(rho_choice, emb, met)  # raises where rho vanishes
+    rho = density_jet(rho_choice, emb)  # raises where rho vanishes
     P, Pgrad, rv, rho_grad = bracket_rows(
         emb.e[None], emb.xdd[None], np.array([rho.value]), rho.grad[None]
     )
@@ -685,7 +677,7 @@ def _unit_table(emb: EmbeddingEval, rho_choice: DensityChoice):
     if hit is None:
         unit = emb.normalised()
         met = induced_metric(unit)
-        hit = emb.unit_tables[rho_choice] = (unit, met, build_bracket_table(unit, rho_choice, met))
+        hit = emb.unit_tables[rho_choice] = (unit, met, build_bracket_table(unit, rho_choice))
     return hit
 
 

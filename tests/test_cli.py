@@ -425,29 +425,30 @@ def test_skipped_rows_do_not_depend_on_the_chunk_size(fmt, compare, tmp_path, ca
 
 
 def test_csv_cells_of_ok_and_skipped_rows(monkeypatch):
-    monkeypatch.setattr(cli, "_MEMO_CELLS", 0)  # the ok rows' numbers go through the memo
     assert cli._cell(None) == ""
     assert cli._cell("skipped: no comma") == "skipped: no comma"
     assert cli._cell('skipped: at (u, v), "x"') == '"skipped: at (u, v), ""x"""'
     assert [cli._cell(x) for x in (-0.0, math.inf, math.nan)] == ["-0", "inf", "nan"]
-    # an ok row goes through one template, a skipped row cell by cell: the
-    # same numbers give the bytes of format(x, ".17g") either way
+    # an ok row fills one template with the texts of its numbers, a skipped
+    # row goes cell by cell: the same numbers give format(x, ".17g") either way
     columns = cli._columns(4, False)
     values = [-0.0, math.inf, math.nan, -math.inf, 0.1, 5e-324, -1.25e300]
     table = {key: [x, x, None, x] for key, x in zip([c for c in columns if c != "status"], values)}
     table["u"][2], table["v"][2] = 2.0, 3.0
     table["u"][3] = 0.0  # u holds both zeros over the ok rows, and each keeps its own text
     table["status"] = ["ok", 'skipped: a, "b"', "skipped", "ok"]
-    out = io.StringIO()
-    cli._emit(table, columns, argparse.Namespace(format="csv", rho=None), None, out)
     cells = [format(float(x), ".17g") for x in values]
-    assert out.getvalue().splitlines() == [
-        ",".join(columns),
-        ",".join([*cells[:2], "ok", *cells[2:]]),
-        ",".join([*cells[:2], '"skipped: a, ""b"""', *cells[2:]]),
-        "2,3,skipped,,,,,",
-        ",".join(["0", cells[1], "ok", *cells[2:]]),
-    ]
+    for memo_cells in (0, cli._MEMO_CELLS):  # 0: the ok rows' numbers go through _texts
+        monkeypatch.setattr(cli, "_MEMO_CELLS", memo_cells)
+        out = io.StringIO()
+        cli._emit(table, columns, argparse.Namespace(format="csv", rho=None), None, out)
+        assert out.getvalue().splitlines() == [
+            ",".join(columns),
+            ",".join([*cells[:2], "ok", *cells[2:]]),
+            ",".join([*cells[:2], '"skipped: a, ""b"""', *cells[2:]]),
+            "2,3,skipped,,,,,",
+            ",".join(["0", cells[1], "ok", *cells[2:]]),
+        ], memo_cells
 
 
 def _dumped(table, columns, args, spec):
@@ -525,11 +526,12 @@ def _writer_tables(draw):
     _writer_tables(),
     st.sampled_from(["csv", "json"]),
     st.integers(1, 4),
-    st.sampled_from([0, 0, 30, cli._MEMO_CELLS]),
+    st.sampled_from([0, cli._MEMO_CELLS]),
 )
 def test_writers_give_the_row_oracle_bytes(drawn, fmt, block, memo_cells):
-    # blocks of 1 to 4 rows put tables of 0 to 9 rows across block boundaries;
-    # with memo_cells 0 every block goes through the memo, with 30 some do
+    # with memo_cells 0 every table goes through _texts, in blocks of 1 to 4
+    # rows that put tables of 0 to 9 rows across block boundaries; with the
+    # default every drawn table (at most 9 x 25 numbers) takes the small-table path
     table, columns = drawn
     spec = argparse.Namespace(name="t\u00e9", m=3, nu=0, rho="sqrtg")
     args = argparse.Namespace(format=fmt, rho=None)

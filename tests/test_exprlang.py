@@ -355,3 +355,16 @@ def test_tape_shares_equal_subtrees():
     assert [op for op, _, _ in tape.code] == ["const", "u", "cos", "+", "v", "cos", "*", "sin", "*"]
     # a shared slot keeps the offset of its first occurrence
     assert tape.pos == (1, 9, 5, 3, 17, 13, 12, 13, 12)
+
+
+def test_tape_pairs_sin_and_cos_of_one_operand():
+    ring = "(2 + cos(u))"
+    tape = compile_tape([parse_expression(f"{ring}*cos(v)"), parse_expression(f"{ring}*sin(v)")])
+    assert tape.trig_pairs == {4}  # v's slot; the tape takes only the cosine of u
+    # the pair shares one evaluation of sin and cos, with the bits of each taken alone
+    u, v = np.linspace(-3.0, 3.0, 7), np.linspace(0.5, 6.0, 7)
+    paired = eval_tape(tape, u, v)
+    for j, fn in enumerate(("cos", "sin")):
+        alone = eval_tape(parse_expression(f"{ring}*{fn}(v)").tape, u, v)
+        for ours, want in zip(paired[:3], alone[:3]):
+            assert ours[j].tobytes() == want[0].tobytes()
